@@ -40,6 +40,7 @@
 //! | 6 | engine evaluation error |
 
 use std::fmt;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use wlq::{
@@ -366,6 +367,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         if let Some(out) = trace_out {
             write_trace(&profile, out)?;
         }
+        exit_without_freeing(log);
         return Ok(());
     }
     match mode {
@@ -391,7 +393,20 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
+    exit_without_freeing(log);
     Ok(())
+}
+
+/// Flushes the answer, then lets the process exit without running the
+/// log's destructor. `query` is the last thing the process does, and
+/// freeing a large log's hundreds of thousands of allocations one by one
+/// would only delay the exit the user waits for: the OS reclaims the
+/// whole address space at once. Library code keeps its normal `Drop`.
+fn exit_without_freeing(log: Log) {
+    // Errors writing stdout surface the same way as without the flush:
+    // not at all (`println!` already wrote the bytes or panicked).
+    let _ = std::io::stdout().flush();
+    std::mem::forget(log);
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {

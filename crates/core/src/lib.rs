@@ -51,8 +51,8 @@ pub use wlq_engine::{
     StreamingEvaluator, TimelinePoint,
 };
 pub use wlq_log::{
-    attrs, io, paper, Activity, AttrMap, AttrName, IsLsn, Log, LogBuilder, LogError, LogIndex,
-    LogRecord, LogStats, Lsn, ParseLogError, Value, Wid, END_ACTIVITY, START_ACTIVITY,
+    attrs, io, paper, Activity, ActivityId, AttrMap, AttrName, IsLsn, Log, LogBuilder, LogError,
+    LogIndex, LogRecord, LogStats, Lsn, ParseLogError, Value, Wid, END_ACTIVITY, START_ACTIVITY,
 };
 pub use wlq_obs::{
     q_error, render_trace, validate_trace, ExecutionProfile, NodeMetrics, NodeShape, ProfiledNode,

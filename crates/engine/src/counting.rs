@@ -15,7 +15,7 @@
 //! [`Query::count`](crate::Query::count) uses this fast path
 //! automatically when the (optimized) plan is a supported chain.
 
-use wlq_log::Log;
+use wlq_log::{ActivityId, Log};
 use wlq_pattern::{Atom, Op, Pattern};
 
 /// The operator linking two adjacent chain atoms: a strict subset of
@@ -39,10 +39,6 @@ struct Chain {
 }
 
 impl Chain {
-    fn len(&self) -> usize {
-        1 + self.tail.len()
-    }
-
     /// The atoms in order, paired with the operator *before* each
     /// (`None` exactly for the first).
     fn steps(&self) -> impl Iterator<Item = (Option<ChainOp>, &Atom)> {
@@ -120,37 +116,40 @@ fn as_chain(pattern: &Pattern) -> Option<Chain> {
 #[must_use]
 pub fn fast_count(log: &Log, pattern: &Pattern) -> Option<usize> {
     let chain = as_chain(pattern)?;
-    let k = chain.len();
+    let index = log.index();
+    // Each step as (operator before it, activity id, negated); an activity
+    // the log never executes has no id, so it matches no record (or, if
+    // negated, every record).
+    let steps: Vec<(Option<ChainOp>, Option<ActivityId>, bool)> = chain
+        .steps()
+        .map(|(op, atom)| (op, index.activity_id(atom.activity.as_str()), atom.negated))
+        .collect();
+    let k = steps.len();
+    // exact[j]: assignments of the first j+1 atoms whose last record is
+    // the *current* position. cum[j]: same but last record at any
+    // position strictly before the current one.
+    let mut cum = vec![0usize; k];
+    let mut exact = vec![0usize; k];
     let mut total = 0usize;
-    for wid in log.wids() {
-        // exact[j]: assignments of the first j+1 atoms whose last record
-        // is the *current* position. cum[j]: same but last record at any
-        // position strictly before the current one.
-        let mut cum = vec![0usize; k];
-        let mut exact = vec![0usize; k];
-        for record in log.instance(wid) {
-            let activity = record.activity();
-            // Compute this position's `exact` from the *previous*
-            // position's state, highest j first (no self-interference
-            // needed since we read prev via `cum`/`prev_exact`).
-            let prev_exact: Vec<usize> = exact.clone();
-            for (j, (op_before, atom)) in chain.steps().enumerate() {
-                let matches = if atom.negated {
-                    activity != &atom.activity
-                } else {
-                    activity == &atom.activity
-                };
-                exact[j] = match (matches, op_before) {
+    for wid in index.wids() {
+        cum.fill(0);
+        exact.fill(0);
+        for &activity in index.sequence(wid) {
+            // Highest j first: a consecutive step reads exact[j - 1] of
+            // the *previous* position, which is still in place.
+            for j in (0..k).rev() {
+                let (op_before, id, negated) = steps[j];
+                exact[j] = match ((id == Some(activity)) != negated, op_before) {
                     (false, _) => 0,
                     (true, None) => 1,
                     (true, Some(ChainOp::Seq)) => cum[j - 1],
-                    (true, Some(ChainOp::Cons)) => prev_exact[j - 1],
+                    (true, Some(ChainOp::Cons)) => exact[j - 1],
                 };
             }
             // Fold this position into the cumulative counts *after*
             // computing exact (cum must lag by one position).
-            for j in 0..k {
-                cum[j] += exact[j];
+            for (c, e) in cum.iter_mut().zip(&exact) {
+                *c += e;
             }
         }
         total += cum[k - 1];

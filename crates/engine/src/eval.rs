@@ -82,29 +82,33 @@ fn atom_admits(atom: &Atom, log: &Log, wid: Wid, position: IsLsn) -> bool {
         .all(|pred| pred.matches(record.input(), record.output()))
 }
 
+/// Calls `f` on each is-lsn of `wid` that an atom's activity test selects,
+/// ascending: the postings of `t`, or every other position for `¬t`. The
+/// name is resolved to its dictionary id once per call; nothing is
+/// allocated.
+fn for_each_position(atom: &Atom, index: &LogIndex, wid: Wid, mut f: impl FnMut(IsLsn)) {
+    let id = index.activity_id(atom.activity.as_str());
+    if atom.negated {
+        index.complement_of(wid, id).for_each(f);
+    } else if let Some(id) = id {
+        for &p in index.postings_of(wid, id) {
+            f(p);
+        }
+    }
+}
+
 /// The incidents of an atomic pattern in one instance: every record whose
 /// activity matches (`t`), or doesn't (`¬t`), filtered by the atom's
 /// attribute predicates (extension).
 #[must_use]
 pub fn leaf_incidents(atom: &Atom, log: &Log, index: &LogIndex, wid: Wid) -> Vec<Incident> {
-    if atom.negated {
-        index
-            .complement_postings(wid, atom.activity.as_str())
-            .into_iter()
-            .filter(|&p| atom_admits(atom, log, wid, p))
-            .map(|p| Incident::singleton(wid, p))
-            .collect()
-    } else {
-        // Predicate-free positive atoms map the borrowed posting slice
-        // straight to singletons — no intermediate position clone.
-        index
-            .postings(wid, atom.activity.as_str())
-            .iter()
-            .copied()
-            .filter(|&p| atom_admits(atom, log, wid, p))
-            .map(|p| Incident::singleton(wid, p))
-            .collect()
-    }
+    let mut out = Vec::new();
+    for_each_position(atom, index, wid, |p| {
+        if atom_admits(atom, log, wid, p) {
+            out.push(Incident::singleton(wid, p));
+        }
+    });
+    out
 }
 
 /// Like [`leaf_incidents`], emitting straight into a pooled
@@ -118,26 +122,18 @@ pub fn leaf_batch(
     arena: &mut BatchArena,
 ) -> IncidentBatch {
     let mut batch = arena.alloc(wid);
-    if atom.negated {
-        for p in index.complement_postings(wid, atom.activity.as_str()) {
-            if atom_admits(atom, log, wid, p) {
-                batch.push_singleton(p);
-            }
+    for_each_position(atom, index, wid, |p| {
+        if atom_admits(atom, log, wid, p) {
+            batch.push_singleton(p);
         }
-    } else {
-        for &p in index.postings(wid, atom.activity.as_str()) {
-            if atom_admits(atom, log, wid, p) {
-                batch.push_singleton(p);
-            }
-        }
-    }
+    });
     batch
 }
 
 /// Evaluates incident-pattern queries over one log.
 ///
-/// Construction builds the per-instance activity index once
-/// ([`LogIndex`]); each [`evaluate`](Self::evaluate) call then runs in
+/// The evaluator borrows the log's activity index ([`LogIndex`], built by
+/// [`Log::new`]); each [`evaluate`](Self::evaluate) call then runs in
 /// time bounded by Lemma 1 / Theorem 1.
 ///
 /// # Examples
@@ -157,7 +153,7 @@ pub fn leaf_batch(
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     log: &'a Log,
-    index: LogIndex,
+    index: &'a LogIndex,
     strategy: Strategy,
     planner: Option<Planner>,
 }
@@ -173,8 +169,8 @@ impl<'a> Evaluator<'a> {
     /// Creates an evaluator with an explicit strategy.
     #[must_use]
     pub fn with_strategy(log: &'a Log, strategy: Strategy) -> Self {
-        let index = LogIndex::build(log);
-        let planner = (strategy == Strategy::Planned).then(|| Planner::new(log, &index));
+        let index = log.index();
+        let planner = (strategy == Strategy::Planned).then(|| Planner::new(log, index));
         Evaluator {
             log,
             index,
@@ -191,8 +187,8 @@ impl<'a> Evaluator<'a> {
 
     /// The evaluator's activity index.
     #[must_use]
-    pub fn index(&self) -> &LogIndex {
-        &self.index
+    pub fn index(&self) -> &'a LogIndex {
+        self.index
     }
 
     /// The active strategy.
@@ -224,7 +220,7 @@ impl<'a> Evaluator<'a> {
         arena: &mut BatchArena,
     ) -> IncidentBatch {
         match node {
-            PlanNode::Leaf { atom, .. } => leaf_batch(atom, self.log, &self.index, wid, arena),
+            PlanNode::Leaf { atom, .. } => leaf_batch(atom, self.log, self.index, wid, arena),
             PlanNode::Join {
                 op,
                 phys,
@@ -344,7 +340,7 @@ impl<'a> Evaluator<'a> {
             return self.evaluate_instance_batch(pattern, wid).into_incidents();
         }
         match pattern {
-            Pattern::Atom(atom) => leaf_incidents(atom, self.log, &self.index, wid),
+            Pattern::Atom(atom) => leaf_incidents(atom, self.log, self.index, wid),
             Pattern::Binary { op, left, right } => {
                 let l = self.evaluate_instance(left, wid);
                 // Short-circuit: for the three conjunctive operators an
@@ -378,7 +374,7 @@ impl<'a> Evaluator<'a> {
         arena: &mut BatchArena,
     ) -> IncidentBatch {
         match pattern {
-            Pattern::Atom(atom) => leaf_batch(atom, self.log, &self.index, wid, arena),
+            Pattern::Atom(atom) => leaf_batch(atom, self.log, self.index, wid, arena),
             Pattern::Binary { op, left, right } => {
                 let l = self.evaluate_instance_batch_in(left, wid, arena);
                 // Short-circuit: for the three conjunctive operators an

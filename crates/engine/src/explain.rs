@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use wlq_log::{Log, LogIndex, LogStats};
+use wlq_log::{Log, LogStats};
 use wlq_pattern::{CostModel, Optimizer, Pattern};
 
 use crate::eval::Strategy;
@@ -60,11 +60,11 @@ impl Explain {
         };
         let model = optimizer.model();
 
-        let index = LogIndex::build(log);
+        let index = log.index();
         let physical_plan = (strategy == Strategy::Planned)
-            .then(|| Planner::new(log, &index).plan(&plan).to_string());
+            .then(|| Planner::new(log, index).plan(&plan).to_string());
         let tree = IncidentTree::from_pattern(&plan);
-        let (incidents, trace) = tree.evaluate_traced(log, &index, strategy);
+        let (incidents, trace) = tree.evaluate_traced(log, index, strategy);
 
         let rows = trace
             .nodes

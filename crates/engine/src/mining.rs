@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use wlq_log::{Activity, Log, LogIndex};
+use wlq_log::{Activity, ActivityId, Log};
 use wlq_pattern::{Op, Pattern};
 
 /// One mined relation with its support.
@@ -48,23 +48,27 @@ pub struct MinedRelation {
 /// ```
 #[must_use]
 pub fn mine_relations(log: &Log, min_support: usize) -> Vec<MinedRelation> {
-    let index = LogIndex::build(log);
-    let activities: Vec<Activity> = log
+    let index = log.index();
+    let activities: Vec<(Activity, ActivityId)> = log
         .activities()
         .into_iter()
         .filter(|a| !a.is_start() && !a.is_end())
+        .filter_map(|a| {
+            let id = index.activity_id(a.as_str())?;
+            Some((a, id))
+        })
         .collect();
 
     // support[(a, b, op)] = number of instances where the relation holds.
     let mut support: BTreeMap<(Activity, Activity, Op), usize> = BTreeMap::new();
     for wid in log.wids() {
-        for a in &activities {
-            let pa = index.postings(wid, a.as_str());
+        for (a, a_id) in &activities {
+            let pa = index.postings_of(wid, *a_id);
             if pa.is_empty() {
                 continue;
             }
-            for b in &activities {
-                let pb = index.postings(wid, b.as_str());
+            for (b, b_id) in &activities {
+                let pb = index.postings_of(wid, *b_id);
                 if pb.is_empty() {
                     continue;
                 }

@@ -345,10 +345,10 @@ impl Planner {
         }
     }
 
-    /// Builds a planner from a log alone (builds a temporary index).
+    /// Builds a planner from a log and the log's own index.
     #[must_use]
     pub fn from_log(log: &Log) -> Self {
-        Planner::new(log, &LogIndex::build(log))
+        Planner::new(log, log.index())
     }
 
     /// The planner's cost model.

@@ -122,11 +122,15 @@ impl Query {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let plan = self.plan(log);
+        self.find_planned(log, &self.plan(log))
+    }
+
+    /// Evaluates an already planned pattern (see [`plan`](Self::plan)).
+    fn find_planned(&self, log: &Log, plan: &Pattern) -> Result<IncidentSet, EngineError> {
         if self.threads > 1 {
-            evaluate_parallel(log, &plan, self.threads, self.strategy)
+            evaluate_parallel(log, plan, self.threads, self.strategy)
         } else {
-            Ok(Evaluator::with_strategy(log, self.strategy).evaluate(&plan))
+            Ok(Evaluator::with_strategy(log, self.strategy).evaluate(plan))
         }
     }
 
@@ -154,7 +158,7 @@ impl Query {
     /// When the (optimized) plan is a `~>`/`->` chain of predicate-free
     /// atoms, the count is computed by the enumeration-free dynamic
     /// program of [`fast_count`](crate::fast_count) in `O(m·k)`; other
-    /// shapes fall back to full evaluation.
+    /// shapes fall back to full evaluation of the same plan.
     ///
     /// # Errors
     ///
@@ -167,7 +171,7 @@ impl Query {
         if let Some(count) = crate::counting::fast_count(log, &plan) {
             return Ok(count);
         }
-        Ok(self.find(log)?.len())
+        Ok(self.find_planned(log, &plan)?.len())
     }
 
     /// Incident counts per workflow instance (instances with none are
@@ -223,11 +227,7 @@ impl Query {
         let plan = self.plan(log);
         let plan_time = start.elapsed();
         let start = std::time::Instant::now();
-        let incidents = if self.threads > 1 {
-            evaluate_parallel(log, &plan, self.threads, self.strategy)?
-        } else {
-            Evaluator::with_strategy(log, self.strategy).evaluate(&plan)
-        };
+        let incidents = self.find_planned(log, &plan)?;
         let eval_time = start.elapsed();
         Ok(QueryProfile {
             pattern: self.pattern.to_string(),

@@ -286,11 +286,11 @@ mod tests {
         // The running example: the root yields {l13, l14, l20} ≙
         // positions {4, 5, 9} of wid 2.
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
+        let index = log.index();
         let tree =
             IncidentTree::from_pattern(&pattern("SeeDoctor -> (UpdateRefer -> GetReimburse)"));
         for strategy in [Strategy::NaivePaper, Strategy::Optimized, Strategy::Batch] {
-            let set = tree.evaluate(&log, &index, strategy);
+            let set = tree.evaluate(&log, index, strategy);
             assert_eq!(set.len(), 1, "{strategy:?}");
             let o = set.iter().next().unwrap();
             assert_eq!(o.wid(), wlq_log::Wid(2));
@@ -306,10 +306,10 @@ mod tests {
     #[test]
     fn trace_reports_per_node_sets_in_post_order() {
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
+        let index = log.index();
         let tree =
             IncidentTree::from_pattern(&pattern("SeeDoctor -> (UpdateRefer -> GetReimburse)"));
-        let (set, trace) = tree.evaluate_traced(&log, &index, Strategy::Optimized);
+        let (set, trace) = tree.evaluate_traced(&log, index, Strategy::Optimized);
         assert_eq!(trace.nodes.len(), 5);
         // Post-order: SeeDoctor, UpdateRefer, GetReimburse, inner ->, root.
         assert_eq!(trace.nodes[0].pattern, "SeeDoctor");
@@ -334,9 +334,9 @@ mod tests {
     #[test]
     fn trace_display_indents_by_depth() {
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
+        let index = log.index();
         let tree = IncidentTree::from_pattern(&pattern("UpdateRefer -> GetReimburse"));
-        let (_, trace) = tree.evaluate_traced(&log, &index, Strategy::Optimized);
+        let (_, trace) = tree.evaluate_traced(&log, index, Strategy::Optimized);
         let text = trace.to_string();
         assert!(text.contains("UpdateRefer ⇒ 1 incidents"));
         assert!(text.contains("UpdateRefer -> GetReimburse ⇒ 1 incidents"));
@@ -345,9 +345,9 @@ mod tests {
     #[test]
     fn negated_leaf_counts_complement() {
         let log = paper::figure3_log();
-        let index = LogIndex::build(&log);
+        let index = log.index();
         let tree = IncidentTree::from_pattern(&pattern("!SeeDoctor"));
-        let set = tree.evaluate(&log, &index, Strategy::Optimized);
+        let set = tree.evaluate(&log, index, Strategy::Optimized);
         assert_eq!(set.len(), 20 - 4);
     }
 }

@@ -7,7 +7,7 @@ use wlq_engine::{
     evaluate_parallel, fast_count, profile_evaluation, Evaluator, IncidentSet, Strategy,
     StreamingEvaluator,
 };
-use wlq_log::Log;
+use wlq_log::{io, Log};
 use wlq_pattern::Pattern;
 
 /// A cross-strategy disagreement on one `(log, pattern)` pair.
@@ -52,7 +52,9 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 /// routing), parallel evaluation with 1 and 4 workers, a full streaming
 /// replay, profiled evaluation under every strategy (the profiler must
 /// be strictly read-only), and — when the pattern is a chain — the
-/// `fast_count` DP.
+/// `fast_count` DP. The log is also written as text and as binary and
+/// read back: the copy must be equal, and NaivePaper and Planned over it
+/// must give the reference answer.
 #[must_use]
 pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
     let reference = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(pattern);
@@ -180,6 +182,46 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
         }
     }
 
+    check_round_trips(log, pattern, &reference)
+}
+
+/// Writes `log` as text and as binary, reads each back, and checks that
+/// the log read back is equal and that its index (built by the reader's
+/// `Log::new`) gives the reference answer under the paper's Algorithm 1
+/// and under the planner.
+fn check_round_trips(log: &Log, pattern: &Pattern, reference: &IncidentSet) -> Option<Divergence> {
+    let round_trips = [
+        ("text", io::text::read_text(&io::text::write_text(log))),
+        (
+            "binary",
+            io::binary::read_binary(io::binary::write_binary(log)),
+        ),
+    ];
+    for (format, read_back) in round_trips {
+        let diverged = |what: &str, got: String| Divergence {
+            strategy: format!("{format} round trip: {what}"),
+            expected: reference.len(),
+            got,
+        };
+        let back = match read_back {
+            Ok(back) if &back == log => back,
+            Ok(back) => return Some(diverged("read", format!("a different log: {back}"))),
+            Err(e) => return Some(diverged("read", format!("error: {e}"))),
+        };
+        for strategy in [Strategy::NaivePaper, Strategy::Planned] {
+            let eval = Evaluator::with_strategy(&back, strategy);
+            let name = format!("{strategy:?}");
+            if let Some(d) = against(reference, &name, &eval.evaluate(pattern)) {
+                return Some(diverged(&d.strategy, d.got));
+            }
+            if eval.count(pattern) != reference.len() {
+                return Some(diverged(
+                    &name,
+                    format!("{} (count only)", eval.count(pattern)),
+                ));
+            }
+        }
+    }
     None
 }
 

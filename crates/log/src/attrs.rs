@@ -1,10 +1,12 @@
 //! Attribute maps: the `αin` / `αout` components of a log record.
 //!
 //! A *map* in the paper is a partial function `A → D` with finite domain.
-//! [`AttrMap`] realises this as an ordered map from [`AttrName`] to
-//! [`Value`], ordered so that display and serialization are deterministic.
+//! [`AttrMap`] realises this as a vector of `(name, value)` entries sorted
+//! by [`AttrName`], so that display and serialization are deterministic.
+//! Records carry a handful of attributes each; one contiguous allocation
+//! per map, searched by bisection, is smaller and faster to build and
+//! free than a tree of nodes.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::names::AttrName;
@@ -26,10 +28,11 @@ use crate::value::Value;
 /// assert_eq!(m.get("balance"), Some(&Value::Int(1000)));
 /// assert_eq!(m.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttrMap {
-    entries: BTreeMap<AttrName, Value>,
+    /// Sorted by name, names distinct.
+    entries: Vec<(AttrName, Value)>,
 }
 
 impl AttrMap {
@@ -51,9 +54,27 @@ impl AttrMap {
         self.entries.is_empty()
     }
 
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.as_str().cmp(name))
+    }
+
     /// Sets `name` to `value`, returning the previous value if any.
     pub fn set(&mut self, name: impl Into<AttrName>, value: impl Into<Value>) -> Option<Value> {
-        self.entries.insert(name.into(), value.into())
+        let name = name.into();
+        let value = value.into();
+        // Entries usually arrive in name order (every writer emits them
+        // so): appending needs no search.
+        if self.entries.last().is_none_or(|(k, _)| *k < name) {
+            self.entries.push((name, value));
+            return None;
+        }
+        match self.find(name.as_str()) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.insert(i, (name, value));
+                None
+            }
+        }
     }
 
     /// Builder-style [`set`](Self::set); handy for literal maps.
@@ -72,7 +93,7 @@ impl AttrMap {
     /// Looks up the value of `name`, or `None` if the map does not define it.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.entries.get(name)
+        self.find(name).ok().map(|i| &self.entries[i].1)
     }
 
     /// Looks up `name`, treating absence as the undefined value `⊥`.
@@ -87,22 +108,22 @@ impl AttrMap {
     /// Returns `true` if the map defines `name`.
     #[must_use]
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
+        self.find(name).is_ok()
     }
 
     /// Removes `name` from the map, returning its value if present.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.entries.remove(name)
+        self.find(name).ok().map(|i| self.entries.remove(i).1)
     }
 
     /// Iterates over `(name, value)` pairs in attribute-name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&AttrName, &Value)> {
-        self.entries.iter()
+    pub fn iter(&self) -> AttrMapIter<'_> {
+        AttrMapIter(self.entries.iter())
     }
 
     /// Iterates over the attribute names (the map's domain) in order.
     pub fn names(&self) -> impl Iterator<Item = &AttrName> {
-        self.entries.keys()
+        self.entries.iter().map(|(k, _)| k)
     }
 
     /// Merges `other` into `self`; entries of `other` win on conflicts.
@@ -111,8 +132,23 @@ impl AttrMap {
     /// instance's attribute store.
     pub fn apply(&mut self, other: &AttrMap) {
         for (k, v) in other.iter() {
-            self.entries.insert(k.clone(), v.clone());
+            self.set(k.clone(), v.clone());
         }
+    }
+}
+
+impl fmt::Debug for AttrMap {
+    /// The same output as a map-backed `#[derive(Debug)]`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Entries<'a>(&'a AttrMap);
+        impl fmt::Debug for Entries<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("AttrMap")
+            .field("entries", &Entries(self))
+            .finish()
     }
 }
 
@@ -153,9 +189,27 @@ impl<N: Into<AttrName>, V: Into<Value>> Extend<(N, V)> for AttrMap {
     }
 }
 
+/// Borrowing iterator over an [`AttrMap`]'s entries, in name order.
+#[derive(Debug, Clone)]
+pub struct AttrMapIter<'a>(std::slice::Iter<'a, (AttrName, Value)>);
+
+impl<'a> Iterator for AttrMapIter<'a> {
+    type Item = (&'a AttrName, &'a Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for AttrMapIter<'_> {}
+
 impl IntoIterator for AttrMap {
     type Item = (AttrName, Value);
-    type IntoIter = std::collections::btree_map::IntoIter<AttrName, Value>;
+    type IntoIter = std::vec::IntoIter<(AttrName, Value)>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.entries.into_iter()
@@ -164,10 +218,10 @@ impl IntoIterator for AttrMap {
 
 impl<'a> IntoIterator for &'a AttrMap {
     type Item = (&'a AttrName, &'a Value);
-    type IntoIter = std::collections::btree_map::Iter<'a, AttrName, Value>;
+    type IntoIter = AttrMapIter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter()
+        self.iter()
     }
 }
 
@@ -238,6 +292,20 @@ mod tests {
         assert_eq!(m.len(), 3);
         let names: Vec<_> = m.names().map(AttrName::to_string).collect();
         assert_eq!(names, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn out_of_order_sets_keep_names_sorted_and_distinct() {
+        let mut m = AttrMap::new();
+        for (n, v) in [("c", 3i64), ("a", 1), ("b", 2), ("a", 4)] {
+            m.set(n, v);
+        }
+        assert_eq!(m.to_string(), "a=4, b=2, c=3");
+        assert_eq!(m, attrs! { "a" => 4i64, "b" => 2i64, "c" => 3i64 });
+        assert_eq!(
+            format!("{:?}", attrs! { "b" => 2i64, "a" => 1i64 }),
+            r#"AttrMap { entries: {AttrName("a"): Int(1), AttrName("b"): Int(2)} }"#
+        );
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   4 = str
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
+use super::Interner;
 use crate::attrs::AttrMap;
 use crate::error::ParseLogError;
 use crate::log::Log;
@@ -81,105 +82,108 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
 
 /// Decodes a log from the binary format.
 ///
+/// Strings are decoded in place from `data` and interned, so equal names
+/// and string values share one allocation.
+///
 /// # Errors
 ///
 /// Returns [`ParseLogError::BadShape`] on truncated or corrupt input and
 /// [`ParseLogError::Invalid`] if the decoded records violate Definition 2.
-pub fn read_binary(mut data: Bytes) -> Result<Log, ParseLogError> {
+pub fn read_binary(data: Bytes) -> Result<Log, ParseLogError> {
     fn bad(message: impl Into<String>) -> ParseLogError {
         ParseLogError::BadShape {
             line: 0,
             message: message.into(),
         }
     }
-    if data.remaining() < 12 {
+    let mut data = Reader(data.as_ref());
+    if data.0.len() < 12 {
         return Err(bad("input shorter than header"));
     }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if data.take(4) != Some(&MAGIC[..]) {
         return Err(bad("bad magic, not a WLQ1 binary log"));
     }
-    let count = data.get_u64_le();
+    let count = data.u64().ok_or_else(|| bad("input shorter than header"))?;
+    let mut interner = Interner::default();
     let mut records = Vec::with_capacity(count.min(1 << 20) as usize);
     for i in 0..count {
         let err = || bad(format!("truncated record {i}"));
-        if data.remaining() < 20 {
+        if data.0.len() < 20 {
             return Err(err());
         }
-        let lsn = data.get_u64_le();
-        let wid = data.get_u64_le();
-        let is_lsn = data.get_u32_le();
-        let act = get_str(&mut data).ok_or_else(err)?;
-        let input = get_map(&mut data).ok_or_else(err)?;
-        let output = get_map(&mut data).ok_or_else(err)?;
-        records.push(LogRecord::new(
-            lsn,
-            wid,
-            is_lsn,
-            act.as_str(),
-            input,
-            output,
-        ));
+        let record = data.record(&mut interner).ok_or_else(err)?;
+        records.push(record);
     }
-    if data.has_remaining() {
+    if !data.0.is_empty() {
         return Err(bad("trailing bytes after last record"));
     }
     Ok(Log::new(records)?)
 }
 
-fn get_str(data: &mut Bytes) -> Option<String> {
-    if data.remaining() < 4 {
-        return None;
-    }
-    let len = data.get_u32_le() as usize;
-    if data.remaining() < len {
-        return None;
-    }
-    let raw = data.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).ok()
-}
+/// A cursor over the undecoded rest of the input.
+struct Reader<'a>(&'a [u8]);
 
-fn get_map(data: &mut Bytes) -> Option<AttrMap> {
-    if data.remaining() < 4 {
-        return None;
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if self.0.len() < n {
+            return None;
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
     }
-    let count = data.get_u32_le();
-    let mut map = AttrMap::new();
-    for _ in 0..count {
-        let name = get_str(data)?;
-        let value = get_value(data)?;
-        map.set(name, value);
-    }
-    Some(map)
-}
 
-fn get_value(data: &mut Bytes) -> Option<Value> {
-    if !data.has_remaining() {
-        return None;
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
     }
-    match data.get_u8() {
-        0 => Some(Value::Undefined),
-        1 => {
-            if !data.has_remaining() {
-                return None;
-            }
-            Some(Value::Bool(data.get_u8() != 0))
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.array::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn str(&mut self) -> Option<&'a str> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).ok()
+    }
+
+    fn record(&mut self, interner: &mut Interner) -> Option<LogRecord> {
+        let lsn = self.u64()?;
+        let wid = self.u64()?;
+        let is_lsn = self.u32()?;
+        let activity = interner.activity(self.str()?);
+        let input = self.map(interner)?;
+        let output = self.map(interner)?;
+        Some(LogRecord::new(lsn, wid, is_lsn, activity, input, output))
+    }
+
+    fn map(&mut self, interner: &mut Interner) -> Option<AttrMap> {
+        let count = self.u32()?;
+        let mut map = AttrMap::new();
+        for _ in 0..count {
+            let name = interner.attr(self.str()?);
+            let value = self.value(interner)?;
+            map.set(name, value);
         }
-        2 => {
-            if data.remaining() < 8 {
-                return None;
-            }
-            Some(Value::Int(data.get_i64_le()))
+        Some(map)
+    }
+
+    fn value(&mut self, interner: &mut Interner) -> Option<Value> {
+        match self.u8()? {
+            0 => Some(Value::Undefined),
+            1 => Some(Value::Bool(self.u8()? != 0)),
+            2 => Some(Value::Int(i64::from_le_bytes(self.array()?))),
+            3 => Some(Value::Float(f64::from_bits(self.u64()?))),
+            4 => Some(Value::Str(interner.string(self.str()?))),
+            _ => None,
         }
-        3 => {
-            if data.remaining() < 8 {
-                return None;
-            }
-            Some(Value::Float(f64::from_bits(data.get_u64_le())))
-        }
-        4 => get_str(data).map(Value::from),
-        _ => None,
     }
 }
 

@@ -6,6 +6,9 @@
 //! quotes). A small hand-rolled CSV reader/writer keeps the crate free of
 //! external parsing dependencies.
 
+use std::borrow::Cow;
+
+use super::{split_entries, Interner};
 use crate::attrs::AttrMap;
 use crate::error::ParseLogError;
 use crate::log::Log;
@@ -53,11 +56,15 @@ fn push_field(out: &mut String, field: &str) {
 
 /// Parses a log from CSV produced by [`write_csv`] (or compatible).
 ///
+/// Unquoted fields are borrowed slices of `text`; names and string values
+/// are interned as in [`read_text`](super::text::read_text).
+///
 /// # Errors
 ///
 /// Returns [`ParseLogError`] on malformed rows or an invalid log.
 pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
     let mut records = Vec::new();
+    let mut interner = Interner::default();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
         if line.trim().is_empty() || (line_no == 1 && line.starts_with("lsn")) {
@@ -70,34 +77,33 @@ pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
                 message: format!("expected 6 columns, found {}", fields.len()),
             });
         }
-        let lsn: u64 = fields[0].parse().map_err(|_| ParseLogError::BadNumber {
+        let number_error = |field: &'static str, text: &str| ParseLogError::BadNumber {
             line: line_no,
-            field: "lsn",
-            text: fields[0].clone(),
-        })?;
-        let wid: u64 = fields[1].parse().map_err(|_| ParseLogError::BadNumber {
-            line: line_no,
-            field: "wid",
-            text: fields[1].clone(),
-        })?;
-        let is_lsn: u32 = fields[2].parse().map_err(|_| ParseLogError::BadNumber {
-            line: line_no,
-            field: "is-lsn",
-            text: fields[2].clone(),
-        })?;
+            field,
+            text: text.to_string(),
+        };
+        let lsn: u64 = fields[0]
+            .parse()
+            .map_err(|_| number_error("lsn", &fields[0]))?;
+        let wid: u64 = fields[1]
+            .parse()
+            .map_err(|_| number_error("wid", &fields[1]))?;
+        let is_lsn: u32 = fields[2]
+            .parse()
+            .map_err(|_| number_error("is-lsn", &fields[2]))?;
         if fields[3].is_empty() {
             return Err(ParseLogError::BadShape {
                 line: line_no,
                 message: "activity name is empty".to_string(),
             });
         }
-        let input = parse_semi_map(&fields[4], line_no)?;
-        let output = parse_semi_map(&fields[5], line_no)?;
+        let input = parse_semi_map(&fields[4], line_no, &mut interner)?;
+        let output = parse_semi_map(&fields[5], line_no, &mut interner)?;
         records.push(LogRecord::new(
             lsn,
             wid,
             is_lsn,
-            fields[3].as_str(),
+            interner.activity(&fields[3]),
             input,
             output,
         ));
@@ -105,12 +111,16 @@ pub fn read_csv(text: &str) -> Result<Log, ParseLogError> {
     Ok(Log::new(records)?)
 }
 
-fn parse_semi_map(text: &str, line_no: usize) -> Result<AttrMap, ParseLogError> {
+fn parse_semi_map(
+    text: &str,
+    line_no: usize,
+    interner: &mut Interner,
+) -> Result<AttrMap, ParseLogError> {
     let mut map = AttrMap::new();
     if text.trim().is_empty() {
         return Ok(map);
     }
-    for pair in super::split_entries(text, ';') {
+    for pair in split_entries(text, b';') {
         let Some((name, value)) = pair.split_once('=') else {
             return Err(ParseLogError::BadShape {
                 line: line_no,
@@ -124,12 +134,17 @@ fn parse_semi_map(text: &str, line_no: usize) -> Result<AttrMap, ParseLogError> 
                 message: "attribute name is empty".to_string(),
             });
         }
-        map.set(name, super::parse_rendered_value(value));
+        map.set(interner.attr(name), interner.value(value));
     }
     Ok(map)
 }
 
-fn split_csv_line(line: &str, line_no: usize) -> Result<Vec<String>, ParseLogError> {
+/// Splits one CSV row. A row without quotes is cut in place; a quoted
+/// field (RFC 4180 quote doubling) is copied out unescaped.
+fn split_csv_line(line: &str, line_no: usize) -> Result<Vec<Cow<'_, str>>, ParseLogError> {
+    if !line.contains('"') {
+        return Ok(line.split(',').map(Cow::Borrowed).collect());
+    }
     let mut fields = Vec::new();
     let mut cur = String::new();
     let mut chars = line.chars().peekable();
@@ -149,7 +164,7 @@ fn split_csv_line(line: &str, line_no: usize) -> Result<Vec<String>, ParseLogErr
         } else {
             match c {
                 '"' => in_quotes = true,
-                ',' => fields.push(std::mem::take(&mut cur)),
+                ',' => fields.push(Cow::Owned(std::mem::take(&mut cur))),
                 _ => cur.push(c),
             }
         }
@@ -160,7 +175,7 @@ fn split_csv_line(line: &str, line_no: usize) -> Result<Vec<String>, ParseLogErr
             message: "unterminated quoted field".to_string(),
         });
     }
-    fields.push(cur);
+    fields.push(Cow::Owned(cur));
     Ok(fields)
 }
 

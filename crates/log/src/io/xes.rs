@@ -21,6 +21,7 @@
 
 use std::fmt::Write as _;
 
+use super::Interner;
 use crate::error::ParseLogError;
 use crate::log::Log;
 use crate::record::{LogRecord, Wid};
@@ -114,6 +115,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
     let mut parser = XmlScanner::new(text);
     let mut current_wid: Option<Wid> = None;
     let mut event: Option<EventBuilder> = None;
+    let mut interner = Interner::default();
 
     while let Some(tag) = parser.next_tag()? {
         match tag.name.as_str() {
@@ -125,7 +127,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
                     .ok_or_else(|| bad(parser.line, "</event> without <event>"))?;
                 let wid = current_wid
                     .ok_or_else(|| bad(parser.line, "event before trace concept:name"))?;
-                records.push(builder.finish(wid, parser.line)?);
+                records.push(builder.finish(wid, parser.line, &mut interner)?);
             }
             "string" | "int" | "float" | "boolean" => {
                 let key = tag
@@ -135,7 +137,7 @@ pub fn read_xes(text: &str) -> Result<Log, ParseLogError> {
                     .attr("value")
                     .ok_or_else(|| bad(parser.line, "attribute without value"))?;
                 if let Some(ev) = event.as_mut() {
-                    ev.set(&tag.name, &key, &value, parser.line)?;
+                    ev.set(&tag.name, &key, &value, parser.line, &mut interner)?;
                 } else if key == "concept:name" {
                     // Trace-level name: the instance id.
                     let wid: u64 = value
@@ -167,7 +169,14 @@ struct EventBuilder {
 }
 
 impl EventBuilder {
-    fn set(&mut self, kind: &str, key: &str, raw: &str, line: usize) -> Result<(), ParseLogError> {
+    fn set(
+        &mut self,
+        kind: &str,
+        key: &str,
+        raw: &str,
+        line: usize,
+        interner: &mut Interner,
+    ) -> Result<(), ParseLogError> {
         let value = match kind {
             "int" => Value::Int(raw.parse().map_err(|_| bad(line, "bad int"))?),
             "float" => Value::Float(raw.parse().map_err(|_| bad(line, "bad float"))?),
@@ -176,7 +185,7 @@ impl EventBuilder {
                 if raw == "⊥" {
                     Value::Undefined
                 } else {
-                    Value::from(unescape(raw))
+                    Value::Str(interner.string(&unescape(raw)))
                 }
             }
         };
@@ -190,17 +199,24 @@ impl EventBuilder {
                 self.lsn = Some(value.as_int().ok_or_else(|| bad(line, "lsn not int"))? as u64);
             }
             key if key.starts_with("wlq:in:") => {
-                self.input.set(unescape(&key["wlq:in:".len()..]), value);
+                let name = interner.attr(&unescape(&key["wlq:in:".len()..]));
+                self.input.set(name, value);
             }
             key if key.starts_with("wlq:out:") => {
-                self.output.set(unescape(&key["wlq:out:".len()..]), value);
+                let name = interner.attr(&unescape(&key["wlq:out:".len()..]));
+                self.output.set(name, value);
             }
             _ => {} // foreign XES attributes are ignored
         }
         Ok(())
     }
 
-    fn finish(self, wid: Wid, line: usize) -> Result<LogRecord, ParseLogError> {
+    fn finish(
+        self,
+        wid: Wid,
+        line: usize,
+        interner: &mut Interner,
+    ) -> Result<LogRecord, ParseLogError> {
         let activity = self
             .activity
             .ok_or_else(|| bad(line, "event without concept:name"))?;
@@ -212,7 +228,7 @@ impl EventBuilder {
             lsn,
             wid,
             is_lsn,
-            activity.as_str(),
+            interner.activity(&activity),
             self.input,
             self.output,
         ))

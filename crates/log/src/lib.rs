@@ -3,7 +3,7 @@
 //! This crate implements the log formalism of *"Querying Workflow Logs"*
 //! (Tang, Mackey, Su): [`LogRecord`] (Definition 1), [`Log`] with its four
 //! validity conditions (Definition 2), incremental construction
-//! ([`LogBuilder`]), secondary indexes for query evaluation ([`LogIndex`]),
+//! ([`LogBuilder`]), the activity index built while validating ([`LogIndex`]),
 //! statistics ([`LogStats`]), serialization ([`io`]), and the paper's
 //! Figure 3 example log ([`paper`]).
 //!
@@ -47,10 +47,10 @@ mod value;
 pub mod io;
 pub mod paper;
 
-pub use attrs::AttrMap;
+pub use attrs::{AttrMap, AttrMapIter};
 pub use builder::LogBuilder;
 pub use error::{LogError, ParseLogError};
-pub use index::LogIndex;
+pub use index::{ActivityId, LogIndex};
 pub use log::Log;
 pub use names::{Activity, AttrName, END_ACTIVITY, START_ACTIVITY};
 pub use record::{IsLsn, LogRecord, Lsn, Wid};

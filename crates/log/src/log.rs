@@ -1,9 +1,9 @@
 //! The [`Log`] container and its validity checking (Definition 2).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::LogError;
+use crate::index::LogIndex;
 use crate::names::Activity;
 use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 
@@ -18,9 +18,14 @@ use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 /// 4. An `END` record is the last record of its instance.
 ///
 /// A `Log` is immutable once constructed; [`Log::new`] validates all four
-/// conditions and builds a per-instance index. For incremental construction
-/// use [`LogBuilder`](crate::LogBuilder); for append-only consumption (the
-/// streaming evaluator) see [`Log::records`] and the engine crate.
+/// conditions and, in the same pass, builds the log's activity index and
+/// statistics ([`LogIndex`], lent out by [`Log::index`]). For incremental
+/// construction use [`LogBuilder`](crate::LogBuilder); for append-only
+/// consumption (the streaming evaluator) see [`Log::records`] and the
+/// engine crate.
+///
+/// Two logs are equal when their records are; the index is derived from
+/// them.
 ///
 /// # Examples
 ///
@@ -35,19 +40,29 @@ use crate::record::{IsLsn, LogRecord, Lsn, Wid};
 /// assert_eq!(log.num_instances(), 1);
 /// # Ok::<(), wlq_log::LogError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Log {
     /// Records sorted by lsn; `records[i].lsn() == i + 1`.
     records: Vec<LogRecord>,
-    /// For each instance, the positions of its records in `records`, in
-    /// is-lsn order.
-    by_wid: BTreeMap<Wid, Vec<usize>>,
+    /// Activity index and statistics, built by [`Log::new`]; boxed so a
+    /// `Log` stays two words wide when it is moved.
+    index: Box<LogIndex>,
 }
 
+impl PartialEq for Log {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records
+    }
+}
+
+impl Eq for Log {}
+
 impl Log {
-    /// Builds a log from records, validating Definition 2.
+    /// Builds a log from records, validating Definition 2 and building the
+    /// log's [`LogIndex`] in the same pass.
     ///
-    /// The records may be supplied in any order; they are sorted by lsn.
+    /// The records may be supplied in any order; they are sorted by lsn
+    /// unless they already are.
     ///
     /// # Errors
     ///
@@ -56,51 +71,35 @@ impl Log {
         if records.is_empty() {
             return Err(LogError::Empty);
         }
-        records.sort_by_key(LogRecord::lsn);
-
-        // Condition 1: lsns are a bijection with 1..=|L|.
-        for (i, r) in records.iter().enumerate() {
-            let expected = Lsn(i as u64 + 1);
-            let found = r.lsn();
-            if found != expected {
-                // Distinguish duplicates from gaps for better messages.
-                if i > 0 && records[i - 1].lsn() == found {
-                    return Err(LogError::DuplicateLsn(found));
+        // Condition 1: lsns are a bijection with 1..=|L|. Records already
+        // numbered 1, 2, … in place satisfy it without a sort.
+        let in_place = records
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.lsn().get() == i as u64 + 1);
+        if !in_place {
+            records.sort_by_key(LogRecord::lsn);
+            for (i, r) in records.iter().enumerate() {
+                let expected = Lsn(i as u64 + 1);
+                let found = r.lsn();
+                if found != expected {
+                    // Distinguish duplicates from gaps for better messages.
+                    if i > 0 && records[i - 1].lsn() == found {
+                        return Err(LogError::DuplicateLsn(found));
+                    }
+                    return Err(LogError::LsnGap { expected, found });
                 }
-                return Err(LogError::LsnGap { expected, found });
             }
         }
-
         // Conditions 2–4, checked in one pass in lsn order.
-        let mut by_wid: BTreeMap<Wid, Vec<usize>> = BTreeMap::new();
-        let mut next_is_lsn: BTreeMap<Wid, IsLsn> = BTreeMap::new();
-        let mut closed: BTreeMap<Wid, bool> = BTreeMap::new();
-        for (i, r) in records.iter().enumerate() {
-            let wid = r.wid();
-            if closed.get(&wid).copied().unwrap_or(false) {
-                return Err(LogError::RecordAfterEnd { wid, lsn: r.lsn() });
-            }
-            // Condition 2: is-lsn = 1 iff START.
-            if (r.is_lsn() == IsLsn::FIRST) != r.is_start() {
-                return Err(LogError::StartMismatch { lsn: r.lsn(), wid });
-            }
-            // Condition 3: consecutive is-lsn per instance, in lsn order.
-            let expected = next_is_lsn.get(&wid).copied().unwrap_or(IsLsn::FIRST);
-            if r.is_lsn() != expected {
-                return Err(LogError::NonConsecutiveIsLsn {
-                    wid,
-                    expected,
-                    found: r.is_lsn(),
-                });
-            }
-            next_is_lsn.insert(wid, expected.next());
-            if r.is_end() {
-                closed.insert(wid, true);
-            }
-            by_wid.entry(wid).or_default().push(i);
-        }
+        let index = Box::new(LogIndex::build(&records)?);
+        Ok(Log { records, index })
+    }
 
-        Ok(Log { records, by_wid })
+    /// The log's activity index and statistics.
+    #[must_use]
+    pub fn index(&self) -> &LogIndex {
+        &self.index
     }
 
     /// Number of records, `|L|`.
@@ -139,28 +138,26 @@ impl Log {
     /// semantics work in.
     #[must_use]
     pub fn record(&self, wid: Wid, is_lsn: IsLsn) -> Option<&LogRecord> {
-        let positions = self.by_wid.get(&wid)?;
         let idx = (is_lsn.get() as usize).checked_sub(1)?;
-        positions.get(idx).map(|&p| &self.records[p])
+        let &p = self.index.record_positions(wid).get(idx)?;
+        Some(&self.records[p])
     }
 
     /// The distinct instance ids present, in ascending order.
-    pub fn wids(&self) -> impl Iterator<Item = Wid> + '_ {
-        self.by_wid.keys().copied()
+    pub fn wids(&self) -> impl ExactSizeIterator<Item = Wid> + '_ {
+        self.index.wids()
     }
 
     /// Number of distinct workflow instances.
     #[must_use]
     pub fn num_instances(&self) -> usize {
-        self.by_wid.len()
+        self.index.num_instances()
     }
 
     /// The records of instance `wid` in is-lsn order (empty if unknown).
-    pub fn instance(&self, wid: Wid) -> impl Iterator<Item = &LogRecord> + '_ {
-        self.by_wid
-            .get(&wid)
-            .map(Vec::as_slice)
-            .unwrap_or_default()
+    pub fn instance(&self, wid: Wid) -> impl ExactSizeIterator<Item = &LogRecord> + '_ {
+        self.index
+            .record_positions(wid)
             .iter()
             .map(move |&p| &self.records[p])
     }
@@ -168,25 +165,21 @@ impl Log {
     /// Number of records of instance `wid` (0 if unknown).
     #[must_use]
     pub fn instance_len(&self, wid: Wid) -> usize {
-        self.by_wid.get(&wid).map_or(0, Vec::len)
+        self.index.instance_len(wid)
     }
 
     /// Returns `true` if instance `wid` has an `END` record.
     #[must_use]
     pub fn is_completed(&self, wid: Wid) -> bool {
-        self.by_wid
-            .get(&wid)
-            .and_then(|ps| ps.last())
-            .is_some_and(|&p| self.records[p].is_end())
+        self.index.is_completed(wid)
     }
 
     /// The distinct activity names occurring in the log, sorted.
     #[must_use]
     pub fn activities(&self) -> Vec<Activity> {
-        let mut set: Vec<Activity> = self.records.iter().map(|r| r.activity().clone()).collect();
-        set.sort();
-        set.dedup();
-        set
+        let mut names = self.index.activities().to_vec();
+        names.sort();
+        names
     }
 
     /// Consumes the log, returning its records in lsn order.
@@ -202,15 +195,19 @@ impl Log {
     ///
     /// Returns [`LogError::UnknownInstance`] if `wid` is not in the log.
     pub fn project_instance(&self, wid: Wid) -> Result<Log, LogError> {
-        let positions = self
-            .by_wid
-            .get(&wid)
-            .ok_or(LogError::UnknownInstance(wid))?;
-        let mut records: Vec<LogRecord> =
-            positions.iter().map(|&p| self.records[p].clone()).collect();
-        for (i, r) in records.iter_mut().enumerate() {
-            r.set_lsn(Lsn(i as u64 + 1));
+        let positions = self.index.record_positions(wid);
+        if positions.is_empty() {
+            return Err(LogError::UnknownInstance(wid));
         }
+        let records: Vec<LogRecord> = positions
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let mut r = self.records[p].clone();
+                r.set_lsn(Lsn(i as u64 + 1));
+                r
+            })
+            .collect();
         Log::new(records)
     }
 }

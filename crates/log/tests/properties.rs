@@ -6,7 +6,7 @@ use proptest::prelude::{
     any, prop, prop_assert, prop_assert_eq, prop_oneof, proptest, Just, Strategy,
 };
 
-use wlq_log::{io, AttrMap, Log, LogBuilder, LogIndex, LogStats, Value};
+use wlq_log::{io, AttrMap, Log, LogBuilder, LogStats, Value};
 
 /// Arbitrary attribute values covering every kind.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -91,7 +91,7 @@ proptest! {
     /// The index agrees with a direct scan for every (wid, activity).
     #[test]
     fn index_matches_direct_scan(log in arb_log()) {
-        let index = LogIndex::build(&log);
+        let index = log.index();
         for wid in log.wids() {
             for activity in log.activities() {
                 let scanned: Vec<_> = log
