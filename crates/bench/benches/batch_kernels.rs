@@ -1,21 +1,22 @@
-//! Flat arena-backed kernels vs the incident-list operators.
+//! Flat arena-backed kernels vs the paper's incident-list operators.
 //!
 //! Two levels of comparison:
 //!
-//! * **Kernels** — `optimized::*_eval` over `Vec<Incident>` against
-//!   [`wlq_engine::combine_batch_into`] over prebuilt [`IncidentBatch`]
-//!   inputs with a recycled output batch (exactly how the evaluator
-//!   drives the kernels). The join workloads (⊙/→) are the ones the
-//!   flat layout targets: unions become bump-appends into the shared
-//!   position pool and no per-incident `Vec` is ever allocated.
-//! * **End to end** — `Evaluator` with `Strategy::Optimized` vs
-//!   `Strategy::Batch` on adversarial pair logs, where the batch path
-//!   keeps the flat representation through the whole pattern tree.
+//! * **Kernels** — `naive::*_eval` (Algorithm 1) over `Vec<Incident>`
+//!   against [`wlq_engine::combine_batch_into`] over prebuilt
+//!   [`IncidentBatch`] inputs with a recycled output batch (exactly how
+//!   the executor drives the kernels). The join workloads (⊙/→) are the
+//!   ones the flat layout targets: unions become bump-appends into the
+//!   shared position pool and no per-incident `Vec` is ever allocated.
+//! * **End to end** — `Evaluator` with `Strategy::NaivePaper` vs
+//!   `Strategy::Batch` (the physical plan of the tree as written) vs
+//!   `Strategy::Planned` on adversarial pair logs, where the plan keeps
+//!   the flat representation through the whole pattern tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use wlq_engine::{combine_batch_into, optimized, Evaluator, Incident, IncidentBatch, Strategy};
+use wlq_engine::{combine_batch_into, naive, Evaluator, Incident, IncidentBatch, Strategy};
 use wlq_log::{IsLsn, Wid};
 use wlq_pattern::{Op, Pattern};
 use wlq_workflow::generator;
@@ -52,10 +53,10 @@ fn bench_kernel_case(
     right: &[Incident],
 ) {
     let eval = match op {
-        Op::Consecutive => optimized::consecutive_eval,
-        Op::Sequential => optimized::sequential_eval,
-        Op::Choice => optimized::choice_eval,
-        Op::Parallel => optimized::parallel_eval,
+        Op::Consecutive => naive::consecutive_eval,
+        Op::Sequential => naive::sequential_eval,
+        Op::Choice => naive::choice_eval,
+        Op::Parallel => naive::parallel_eval,
     };
     group.bench_with_input(BenchmarkId::new("lists", name), &(), |b, ()| {
         b.iter(|| black_box(eval(left, right)));
@@ -115,7 +116,7 @@ fn bench_sequential(c: &mut Criterion) {
     group.finish();
 }
 
-/// ⊗: interleaved union — already linear on both paths.
+/// ⊗: interleaved union.
 fn bench_choice(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_choice");
     group.sample_size(10);
@@ -151,6 +152,13 @@ fn bench_parallel(c: &mut Criterion) {
     group.finish();
 }
 
+/// The strategies compared end to end, with their benchmark id prefixes.
+const STRATEGIES: [(&str, Strategy); 3] = [
+    ("naive", Strategy::NaivePaper),
+    ("batch", Strategy::Batch),
+    ("planned", Strategy::Planned),
+];
+
 /// Whole-evaluator comparison on adversarial pair logs.
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_end_to_end");
@@ -159,40 +167,36 @@ fn bench_end_to_end(c: &mut Criterion) {
         let log = generator::pair_log("A", n, "B", n, true);
         for (name, src) in [("consecutive", "A ~> B"), ("sequential", "A -> B")] {
             let p: Pattern = src.parse().unwrap();
-            group.bench_with_input(
-                BenchmarkId::new(format!("optimized_{name}"), n),
-                &p,
-                |b, p| {
-                    let eval = Evaluator::with_strategy(&log, Strategy::Optimized);
+            for (id, strategy) in STRATEGIES {
+                group.bench_with_input(BenchmarkId::new(format!("{id}_{name}"), n), &p, |b, p| {
+                    let eval = Evaluator::with_strategy(&log, strategy);
                     b.iter(|| black_box(eval.evaluate(p)));
-                },
-            );
-            group.bench_with_input(BenchmarkId::new(format!("batch_{name}"), n), &p, |b, p| {
-                let eval = Evaluator::with_strategy(&log, Strategy::Batch);
-                b.iter(|| black_box(eval.evaluate(p)));
-            });
+                });
+            }
         }
     }
     group.finish();
 }
 
-/// Counting queries: the batch path counts refs without ever
-/// materialising an incident, while the classic path must build every
-/// `Vec<Incident>` first.
+/// Counting queries: a plan counts batch refs (here, a chain, through the
+/// counting DP) without materialising an incident, while Algorithm 1
+/// must build every `Vec<Incident>` first.
 fn bench_end_to_end_count(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_count");
     group.sample_size(10);
     for n in [500usize, 2000] {
         let log = generator::pair_log("A", n, "B", n, true);
         let p: Pattern = "A -> B".parse().unwrap();
-        group.bench_with_input(BenchmarkId::new("optimized_sequential", n), &p, |b, p| {
-            let eval = Evaluator::with_strategy(&log, Strategy::Optimized);
-            b.iter(|| black_box(eval.count(p)));
-        });
-        group.bench_with_input(BenchmarkId::new("batch_sequential", n), &p, |b, p| {
-            let eval = Evaluator::with_strategy(&log, Strategy::Batch);
-            b.iter(|| black_box(eval.count(p)));
-        });
+        for (id, strategy) in STRATEGIES {
+            group.bench_with_input(
+                BenchmarkId::new(format!("{id}_sequential"), n),
+                &p,
+                |b, p| {
+                    let eval = Evaluator::with_strategy(&log, strategy);
+                    b.iter(|| black_box(eval.count(p)));
+                },
+            );
+        }
     }
     group.finish();
 }

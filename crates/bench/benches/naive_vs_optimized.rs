@@ -1,11 +1,19 @@
-//! E8: the paper's Algorithm 1 operators vs the index/merge-based
-//! implementations, on realistic (simulated clinic) and adversarial
+//! E8: the paper's Algorithm 1 (`naive`) vs the physical plan over the
+//! batch kernels, with the tree as written (`batch`) and as planned
+//! (`planned`), on realistic (simulated clinic) and adversarial
 //! (pair-log) workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use wlq_engine::{Evaluator, Strategy};
+
+/// The strategies compared, with their benchmark ids.
+const STRATEGIES: [(&str, Strategy); 3] = [
+    ("naive", Strategy::NaivePaper),
+    ("batch", Strategy::Batch),
+    ("planned", Strategy::Planned),
+];
 use wlq_pattern::Pattern;
 use wlq_workflow::{generator, scenarios, simulate, SimulationConfig};
 
@@ -21,14 +29,12 @@ fn bench_clinic_patterns(c: &mut Criterion) {
     ];
     for (name, src) in patterns {
         let p: Pattern = src.parse().unwrap();
-        group.bench_with_input(BenchmarkId::new("naive", name), &p, |b, p| {
-            let eval = Evaluator::with_strategy(&log, Strategy::NaivePaper);
-            b.iter(|| black_box(eval.evaluate(p)));
-        });
-        group.bench_with_input(BenchmarkId::new("optimized", name), &p, |b, p| {
-            let eval = Evaluator::with_strategy(&log, Strategy::Optimized);
-            b.iter(|| black_box(eval.evaluate(p)));
-        });
+        for (id, strategy) in STRATEGIES {
+            group.bench_with_input(BenchmarkId::new(id, name), &p, |b, p| {
+                let eval = Evaluator::with_strategy(&log, strategy);
+                b.iter(|| black_box(eval.evaluate(p)));
+            });
+        }
     }
     group.finish();
 }
@@ -39,14 +45,12 @@ fn bench_adversarial_consecutive(c: &mut Criterion) {
     for n in [500usize, 1000, 2000] {
         let log = generator::pair_log("A", n, "B", n, true);
         let p: Pattern = "A ~> B".parse().unwrap();
-        group.bench_with_input(BenchmarkId::new("naive", n), &p, |b, p| {
-            let eval = Evaluator::with_strategy(&log, Strategy::NaivePaper);
-            b.iter(|| black_box(eval.evaluate(p)));
-        });
-        group.bench_with_input(BenchmarkId::new("optimized", n), &p, |b, p| {
-            let eval = Evaluator::with_strategy(&log, Strategy::Optimized);
-            b.iter(|| black_box(eval.evaluate(p)));
-        });
+        for (id, strategy) in STRATEGIES {
+            group.bench_with_input(BenchmarkId::new(id, n), &p, |b, p| {
+                let eval = Evaluator::with_strategy(&log, strategy);
+                b.iter(|| black_box(eval.evaluate(p)));
+            });
+        }
     }
     group.finish();
 }

@@ -2,13 +2,26 @@
 //!
 //! Each group sweeps one operator's driving parameter (`n` for ⊙/→, the
 //! incident width `k` for ⊗/⊕) so the Criterion report exposes the growth
-//! curve the paper claims.
+//! curve the paper claims, for the paper's Algorithm 1 (`naive`) and for
+//! the batch kernel the executor runs (`batch`, over operands converted
+//! to [`IncidentBatch`]es outside the timed loop).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use wlq_bench::{common_tail_incidents, shared_prefix_incidents, singleton_incidents};
-use wlq_engine::{naive, optimized};
+use wlq_engine::{combine_batch, naive, Incident, IncidentBatch};
+use wlq_log::Wid;
+use wlq_pattern::Op;
+
+/// Both operands as one-instance batches.
+fn batches(left: &[Incident], right: &[Incident]) -> (IncidentBatch, IncidentBatch) {
+    let wid = left.first().map_or(Wid(1), Incident::wid);
+    (
+        IncidentBatch::from_incidents(wid, left),
+        IncidentBatch::from_incidents(wid, right),
+    )
+}
 
 /// E3: consecutive, time O(n1·n2).
 fn bench_consecutive(c: &mut Criterion) {
@@ -20,8 +33,9 @@ fn bench_consecutive(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
             b.iter(|| black_box(naive::consecutive_eval(&left, &right)));
         });
-        group.bench_with_input(BenchmarkId::new("optimized", n), &n, |b, _| {
-            b.iter(|| black_box(optimized::consecutive_eval(&left, &right)));
+        let (lb, rb) = batches(&left, &right);
+        group.bench_with_input(BenchmarkId::new("batch", n), &n, |b, _| {
+            b.iter(|| black_box(combine_batch(Op::Consecutive, &lb, &rb)));
         });
     }
     group.finish();
@@ -37,15 +51,16 @@ fn bench_sequential(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
             b.iter(|| black_box(naive::sequential_eval(&left, &right)));
         });
-        group.bench_with_input(BenchmarkId::new("optimized", n), &n, |b, _| {
-            b.iter(|| black_box(optimized::sequential_eval(&left, &right)));
+        let (lb, rb) = batches(&left, &right);
+        group.bench_with_input(BenchmarkId::new("batch", n), &n, |b, _| {
+            b.iter(|| black_box(combine_batch(Op::Sequential, &lb, &rb)));
         });
     }
     group.finish();
 }
 
-/// E5: choice, printed variant time O(n1·n2·min(k1,k2)); union variant for
-/// contrast.
+/// E5: choice, printed variant time O(n1·n2·min(k1,k2)); the batch
+/// kernel's union for contrast.
 fn bench_choice(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_choice");
     group.sample_size(15);
@@ -56,8 +71,9 @@ fn bench_choice(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("printed", k), &k, |b, _| {
             b.iter(|| black_box(naive::choice_eval_as_printed(&left, &right)));
         });
+        let (lb, rb) = batches(&left, &right);
         group.bench_with_input(BenchmarkId::new("union", k), &k, |b, _| {
-            b.iter(|| black_box(optimized::choice_eval(&left, &right)));
+            b.iter(|| black_box(combine_batch(Op::Choice, &lb, &rb)));
         });
     }
     group.finish();
@@ -74,8 +90,9 @@ fn bench_parallel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", k), &k, |b, _| {
             b.iter(|| black_box(naive::parallel_eval(&left, &right)));
         });
-        group.bench_with_input(BenchmarkId::new("optimized", k), &k, |b, _| {
-            b.iter(|| black_box(optimized::parallel_eval(&left, &right)));
+        let (lb, rb) = batches(&left, &right);
+        group.bench_with_input(BenchmarkId::new("batch", k), &k, |b, _| {
+            b.iter(|| black_box(combine_batch(Op::Parallel, &lb, &rb)));
         });
     }
     group.finish();

@@ -1,7 +1,9 @@
 //! Cost-based planning on vs off.
 //!
-//! Three comparisons, each `Strategy::Planned` (plan-on) against
-//! `Strategy::Optimized` and `Strategy::Batch` (plan-off):
+//! Three comparisons, each `Strategy::Planned` (rewrites on) against
+//! `Strategy::Batch` (the planner with rewrites off: the tree as written,
+//! physical operators still chosen by cost) and the paper's Algorithm 1
+//! (`Strategy::NaivePaper`):
 //!
 //! * **`sequential_pairlog`** — the adversarial `A -> B` pair log where
 //!   the sort-merge sequential kernel replaces per-left binary searches
@@ -9,7 +11,7 @@
 //! * **`dense`/`sparse`/`skewed` logs** — generator workloads where the
 //!   planner's rewrite choice and physical operator selection have to not
 //!   regress across log shapes.
-//! * **`plan_count`** — `count()` on chains, where the planner routes to
+//! * **`plan_count`** — `count()` on chains, where both plans route to
 //!   the enumeration-free DP.
 //!
 //! Planning overhead itself is measured by `plan_only`.
@@ -24,7 +26,7 @@ use wlq_workflow::generator;
 
 fn strategies() -> [(&'static str, Strategy); 3] {
     [
-        ("optimized", Strategy::Optimized),
+        ("naive", Strategy::NaivePaper),
         ("batch", Strategy::Batch),
         ("planned", Strategy::Planned),
     ]
@@ -102,7 +104,7 @@ fn bench_skewed(c: &mut Criterion) {
     group.finish();
 }
 
-/// Counting on chains: the planner routes to the enumeration-free DP.
+/// Counting on chains: both plans route to the enumeration-free DP.
 fn bench_count(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_count");
     group.sample_size(10);
@@ -120,7 +122,8 @@ fn bench_count(c: &mut Criterion) {
 }
 
 /// Planning overhead alone: candidate enumeration + costing + operator
-/// selection, no execution.
+/// selection, no execution (`plan`), against costing the tree as
+/// written (`as_written`).
 fn bench_plan_only(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_only");
     group.sample_size(10);
@@ -134,6 +137,9 @@ fn bench_plan_only(c: &mut Criterion) {
         let p: Pattern = src.parse().unwrap();
         group.bench_with_input(BenchmarkId::new(name, "plan"), &p, |b, p| {
             b.iter(|| black_box(planner.plan(p).cost()));
+        });
+        group.bench_with_input(BenchmarkId::new(name, "as_written"), &p, |b, p| {
+            b.iter(|| black_box(planner.plan_as_written(p).cost()));
         });
     }
     group.finish();

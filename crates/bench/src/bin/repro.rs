@@ -8,8 +8,8 @@
 //! Experiment ids follow DESIGN.md §4: E1–E2 reproduce the paper's worked
 //! examples (Figure 3, Figure 4, Examples 1/3/5); E3–E6 validate the
 //! Lemma 1 complexity shapes per operator; E7 the Theorem 1 worst case;
-//! E8–E10 are the ablations (naive vs optimized operators, algebraic
-//! rewriting, parallel scaling).
+//! E8–E10 are the ablations (Algorithm 1 vs the physical plan as written
+//! and as planned, algebraic rewriting, parallel scaling).
 
 use std::time::Duration;
 
@@ -17,9 +17,9 @@ use wlq_bench::{
     common_tail_incidents, fmt_us, loglog_slope, shared_prefix_incidents, singleton_incidents,
     time_median,
 };
-use wlq_engine::{naive, optimized, Evaluator, IncidentTree, Query, Strategy};
+use wlq_engine::{combine, naive, Evaluator, IncidentTree, Query, Strategy};
 use wlq_log::{paper, Log, LogStats, Lsn};
-use wlq_pattern::{theorem1_worst_case, Optimizer, Pattern};
+use wlq_pattern::{theorem1_worst_case, Op, Optimizer, Pattern};
 use wlq_workflow::{generator, scenarios, simulate, SimulationConfig};
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
         e7_theorem1();
     }
     if want("e8") {
-        e8_naive_vs_optimized();
+        e8_naive_vs_batch_vs_planned();
     }
     if want("e9") {
         e9_rewrite_ablation();
@@ -244,7 +244,7 @@ fn e2_incident_tree() {
         postfix_strings(&p)
     );
     let tree = IncidentTree::from_pattern(&p);
-    let (set, trace) = tree.evaluate_traced(&log, index, Strategy::Optimized);
+    let (set, trace) = tree.evaluate_traced(&log, index, Strategy::Batch);
     println!("{trace}");
     let incident = set.iter().next().expect("one incident");
     let lsns: Vec<String> = incident
@@ -356,7 +356,7 @@ fn e5_choice_scaling() {
             std::hint::black_box(naive::choice_eval_as_printed(&left, &right));
         });
         let t_union = time_median(5, || {
-            std::hint::black_box(optimized::choice_eval(&left, &right));
+            std::hint::black_box(combine(Strategy::Batch, Op::Choice, &left, &right));
         });
         println!("{:>8} {:>22} {:>22}", k, fmt_us(t_printed), fmt_us(t_union));
         pts_printed.push((k as f64, t_printed.as_secs_f64()));
@@ -453,51 +453,53 @@ fn binomial(n: usize, k: usize) -> usize {
 }
 
 /// E8: the paper's Algorithm 1 vs the optimized operators.
-fn e8_naive_vs_optimized() {
+fn e8_naive_vs_batch_vs_planned() {
     heading(
         "E8",
-        "ablation: Algorithm 1 (naive) vs index/merge-based operators",
+        "ablation: Algorithm 1 (naive) vs the physical plan as written (batch) and planned",
     );
     println!(
-        "{:<44} {:>12} {:>12} {:>8}",
-        "workload / pattern", "naive (µs)", "opt (µs)", "speedup"
+        "{:<44} {:>12} {:>12} {:>12} {:>8}",
+        "workload / pattern", "naive (µs)", "batch (µs)", "planned (µs)", "speedup"
     );
-    let mut rows: Vec<(String, Duration, Duration)> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
 
-    // Consecutive on a sparse log: the optimized hash join skips the scan.
+    // Consecutive on a sparse log: the kernels' partner search skips the
+    // scan.
     let log = generator::pair_log("A", 2000, "B", 2000, true);
-    rows.push(run_both(&log, "A ~> B", "pair_log 2k+2k interleaved"));
+    rows.push(run_all(&log, "A ~> B", "pair_log 2k+2k interleaved"));
     // One long instance: per-instance incident lists get large, which is
     // where the output-sensitive joins pay off.
     let long = generator::uniform_log(1, 5000, 100, 3);
-    rows.push(run_both(&long, "T0 ~> T1", "uniform 1×5000, |T| = 100"));
-    rows.push(run_both(&long, "T0 -> T1", "uniform 1×5000, |T| = 100"));
+    rows.push(run_all(&long, "T0 ~> T1", "uniform 1×5000, |T| = 100"));
+    rows.push(run_all(&long, "T0 -> T1", "uniform 1×5000, |T| = 100"));
     // Selective sequential.
     let clinic = simulate(&scenarios::clinic::model(), &SimulationConfig::new(800, 5));
-    rows.push(run_both(
+    rows.push(run_all(
         &clinic,
         "UpdateRefer -> GetReimburse",
         "clinic 800 inst",
     ));
-    rows.push(run_both(&clinic, "GetRefer ~> CheckIn", "clinic 800 inst"));
-    rows.push(run_both(
+    rows.push(run_all(&clinic, "GetRefer ~> CheckIn", "clinic 800 inst"));
+    rows.push(run_all(
         &clinic,
         "SeeDoctor -> PayTreatment -> GetReimburse",
         "clinic 800 inst",
     ));
-    rows.push(run_both(
+    rows.push(run_all(
         &clinic,
         "UpdateRefer | CompleteRefer",
         "clinic 800 inst",
     ));
 
-    for (label, t_naive, t_opt) in rows {
+    for (label, [t_naive, t_batch, t_planned]) in rows {
         println!(
-            "{:<44} {:>12} {:>12} {:>7.1}×",
+            "{:<44} {:>12} {:>12} {:>12} {:>7.1}×",
             label,
             fmt_us(t_naive),
-            fmt_us(t_opt),
-            t_naive.as_secs_f64() / t_opt.as_secs_f64().max(1e-12)
+            fmt_us(t_batch),
+            fmt_us(t_planned),
+            t_naive.as_secs_f64() / t_planned.as_secs_f64().max(1e-12)
         );
     }
 
@@ -523,22 +525,23 @@ fn e8_naive_vs_optimized() {
     );
 }
 
-fn run_both(log: &Log, pattern: &str, workload: &str) -> (String, Duration, Duration) {
+/// One E8 row: the label, then the naive, batch, and planned times.
+type Row = (String, [Duration; 3]);
+
+fn run_all(log: &Log, pattern: &str, workload: &str) -> Row {
     let p: Pattern = pattern.parse().expect("parses");
-    let naive_eval = Evaluator::with_strategy(log, Strategy::NaivePaper);
-    let opt_eval = Evaluator::with_strategy(log, Strategy::Optimized);
-    assert_eq!(
-        naive_eval.evaluate(&p),
-        opt_eval.evaluate(&p),
-        "strategies disagree"
-    );
-    let t_naive = time_median(3, || {
-        std::hint::black_box(naive_eval.evaluate(&p));
+    let evals = [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned]
+        .map(|strategy| Evaluator::with_strategy(log, strategy));
+    let reference = evals[0].evaluate(&p);
+    for eval in &evals[1..] {
+        assert_eq!(eval.evaluate(&p), reference, "strategies disagree");
+    }
+    let times = evals.map(|eval| {
+        time_median(3, || {
+            std::hint::black_box(eval.evaluate(&p));
+        })
     });
-    let t_opt = time_median(3, || {
-        std::hint::black_box(opt_eval.evaluate(&p));
-    });
-    (format!("{workload}: {pattern}"), t_naive, t_opt)
+    (format!("{workload}: {pattern}"), times)
 }
 
 /// E9: the algebraic optimizer (Theorems 2–5 as rewrites).

@@ -5,7 +5,7 @@
 //! wlq stats    <log-file>
 //! wlq validate <log-file>
 //! wlq query    <log-file> <pattern> [--count|--exists|--by-instance]
-//!              [--naive] [--no-optimize] [--threads N]
+//!              [--naive] [--threads N]
 //!              [--profile] [--trace-out <trace-file>]
 //! wlq explain  <log-file> <pattern> [--plan|--analyze]
 //!              [--threads N] [--trace-out <trace-file>]
@@ -147,7 +147,7 @@ fn usage() -> String {
      \x20 simulate <clinic|order|loan|helpdesk> <instances> <seed> [out-file]\n\
      \x20 stats    <log-file>\n\
      \x20 validate <log-file>\n\
-     \x20 query    <log-file> <pattern> [--count|--exists|--by-instance] [--naive] [--no-optimize] [--threads N]\n\
+     \x20 query    <log-file> <pattern> [--count|--exists|--by-instance] [--naive] [--threads N]\n\
      \x20          [--profile] [--trace-out <trace-file>]\n\
      \x20 explain  <log-file> <pattern> [--plan|--analyze] [--threads N] [--trace-out <trace-file>]\n\
      \x20          (--analyze also accepts: explain --analyze <pattern> --log <log-file>)\n\
@@ -305,7 +305,6 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
                 naive = true;
                 query = query.strategy(Strategy::NaivePaper);
             }
-            "--no-optimize" => query = query.optimize(false),
             "--threads" => {
                 let n: usize = iter
                     .next()
@@ -481,7 +480,7 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let strategy = if plan {
         Strategy::Planned
     } else {
-        Strategy::Optimized
+        Strategy::Batch
     };
     let explain = Explain::run(&log, &pattern, true, strategy);
     print!("{explain}");

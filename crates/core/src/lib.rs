@@ -14,7 +14,7 @@
 //! | Log model | [`wlq_log`] | records, logs, validation, indexes, serialization |
 //! | Workflow engine | [`wlq_workflow`] | models, simulator, scenarios, generators |
 //! | Pattern algebra | [`wlq_pattern`] | AST, parser, laws (Theorems 2–5), optimizer |
-//! | Evaluation | [`wlq_engine`] | naive + optimized operators, trees, parallel, streaming |
+//! | Evaluation | [`wlq_engine`] | planner + batch-kernel executor, Algorithm 1 oracle, trees, parallel, streaming |
 //! | Observability | [`wlq_obs`] | per-operator metrics, execution profiles, JSON Lines traces |
 //! | Static analysis | [`wlq_analysis`] | span-anchored lints, unsatisfiability proofs, cost budget |
 //!

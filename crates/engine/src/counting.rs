@@ -12,8 +12,11 @@
 //! increasing position tuples, so distinct assignments are distinct
 //! incident sets and the DP count equals `|incL(p)|`.
 //!
-//! [`Query::count`](crate::Query::count) uses this fast path
-//! automatically when the (optimized) plan is a supported chain.
+//! [`Evaluator::count`](crate::Evaluator::count) and
+//! [`Evaluator::exists`](crate::Evaluator::exists) — and through them
+//! [`Query::count`](crate::Query::count) at any thread count — use this
+//! fast path automatically when the physical plan's tree is a supported
+//! chain.
 
 use wlq_log::{ActivityId, Log};
 use wlq_pattern::{Atom, Op, Pattern};
@@ -171,12 +174,7 @@ mod tests {
         let fast = fast_count(log, &p).unwrap_or_else(|| panic!("{src} not a chain"));
         // The DP must agree with every enumeration path, including the
         // batch evaluator's ref-counting (which also never materialises).
-        for strategy in [
-            Strategy::NaivePaper,
-            Strategy::Optimized,
-            Strategy::Batch,
-            Strategy::Planned,
-        ] {
+        for strategy in [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned] {
             let slow = Evaluator::with_strategy(log, strategy).count(&p);
             assert_eq!(fast, slow, "{src} under {strategy:?}");
         }

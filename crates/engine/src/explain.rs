@@ -35,8 +35,9 @@ pub struct Explain {
     pub query: String,
     /// The plan that ran (after optimization, if enabled).
     pub plan: String,
-    /// The cost-based physical plan (rewrite choice, per-node physical
-    /// operators, scored candidates), rendered when the strategy is
+    /// The cost-based physical plan of the query as written — the plan
+    /// [`Query`](crate::Query) runs: rewrite choice, per-node physical
+    /// operators, scored candidates. Rendered when the strategy is
     /// [`Strategy::Planned`].
     pub physical_plan: Option<String>,
     /// Per-node rows in post-order (evaluation order).
@@ -62,7 +63,7 @@ impl Explain {
 
         let index = log.index();
         let physical_plan = (strategy == Strategy::Planned)
-            .then(|| Planner::new(log, index).plan(&plan).to_string());
+            .then(|| Planner::new(log, index).plan(pattern).to_string());
         let tree = IncidentTree::from_pattern(&plan);
         let (incidents, trace) = tree.evaluate_traced(log, index, strategy);
 
@@ -158,7 +159,7 @@ mod tests {
     fn explain_matches_plain_evaluation() {
         let log = paper::figure3_log();
         let p = parse("SeeDoctor -> (UpdateRefer -> GetReimburse)");
-        let explain = Explain::run(&log, &p, false, Strategy::Optimized);
+        let explain = Explain::run(&log, &p, false, Strategy::Batch);
         assert_eq!(explain.incidents, Evaluator::new(&log).evaluate(&p));
         assert_eq!(explain.rows.len(), 5);
         assert_eq!(explain.plan, explain.query);
@@ -167,7 +168,7 @@ mod tests {
     #[test]
     fn leaf_estimates_are_exact_on_atoms() {
         let log = paper::figure3_log();
-        let explain = Explain::run(&log, &parse("SeeDoctor"), false, Strategy::Optimized);
+        let explain = Explain::run(&log, &parse("SeeDoctor"), false, Strategy::Batch);
         assert_eq!(explain.rows.len(), 1);
         assert!((explain.rows[0].estimated - 4.0).abs() < 1e-9);
         assert_eq!(explain.rows[0].actual, 4);
@@ -178,7 +179,7 @@ mod tests {
     fn optimized_plan_is_reported_when_it_differs() {
         let log = paper::figure3_log();
         let p = parse("(SeeDoctor -> PayTreatment) | (SeeDoctor -> UpdateRefer)");
-        let explain = Explain::run(&log, &p, true, Strategy::Optimized);
+        let explain = Explain::run(&log, &p, true, Strategy::Batch);
         assert_eq!(explain.query, p.to_string());
         assert_eq!(explain.plan, "SeeDoctor -> (PayTreatment | UpdateRefer)");
         // Still the same result.
@@ -192,7 +193,7 @@ mod tests {
             &log,
             &parse("UpdateRefer -> GetReimburse"),
             false,
-            Strategy::Optimized,
+            Strategy::Batch,
         );
         let text = explain.to_string();
         assert!(text.contains("query: UpdateRefer -> GetReimburse"));
@@ -204,15 +205,15 @@ mod tests {
     fn physical_plan_renders_only_under_planned() {
         let log = paper::figure3_log();
         let p = parse("SeeDoctor -> PayTreatment");
-        let optimized = Explain::run(&log, &p, true, Strategy::Optimized);
-        assert!(optimized.physical_plan.is_none());
+        let batch = Explain::run(&log, &p, true, Strategy::Batch);
+        assert!(batch.physical_plan.is_none());
         let planned = Explain::run(&log, &p, true, Strategy::Planned);
         let physical = planned.physical_plan.as_deref().unwrap();
         assert!(physical.contains("chosen:"), "{physical}");
         assert!(physical.contains("scan SeeDoctor"), "{physical}");
         assert!(planned.to_string().contains("physical plan:"));
         // Same results either way.
-        assert_eq!(planned.incidents, optimized.incidents);
+        assert_eq!(planned.incidents, batch.incidents);
     }
 
     #[test]
@@ -222,7 +223,7 @@ mod tests {
             &log,
             &parse("SeeDoctor -> PayTreatment"),
             false,
-            Strategy::Optimized,
+            Strategy::Batch,
         );
         // Estimates are heuristic but should be within two orders of
         // magnitude on this tiny log.

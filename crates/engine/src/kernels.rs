@@ -22,8 +22,10 @@
 //! [`nested_loop_kernel`] is the paper's Algorithm 1 join for inputs too
 //! small to amortise any setup.
 //!
-//! All kernels produce exactly the incident sets of [`crate::naive`] /
-//! [`crate::optimized`] (property-tested in `tests/batch_equiv.rs`).
+//! All kernels produce exactly the incident sets of the paper's
+//! Algorithm 1 operators in [`crate::naive`] (property-tested in
+//! `crates/engine/tests/operator_properties.rs` and
+//! `tests/batch_equiv.rs`).
 
 use wlq_pattern::Op;
 
@@ -416,7 +418,7 @@ pub fn materialize_join(
 mod tests {
     use super::*;
     use crate::incident::Incident;
-    use crate::{naive, optimized};
+    use crate::naive;
     use wlq_log::{IsLsn, Wid};
 
     const WID: Wid = Wid(7);
@@ -465,17 +467,48 @@ mod tests {
 
     #[test]
     fn kernels_match_optimized_operators_on_fixtures() {
-        let (a, b) = (fixture_a(), fixture_b());
-        assert_eq!(
-            run(Op::Consecutive, &a, &b),
-            optimized::consecutive_eval(&a, &b)
-        );
-        assert_eq!(
-            run(Op::Sequential, &a, &b),
-            optimized::sequential_eval(&a, &b)
-        );
-        assert_eq!(run(Op::Choice, &a, &b), optimized::choice_eval(&a, &b));
-        assert_eq!(run(Op::Parallel, &a, &b), optimized::parallel_eval(&a, &b));
+        // The fixtures the retired list operators were tested on:
+        // multi-record incidents with shared firsts and overlapping spans.
+        let (c, d) = (fixture_c(), fixture_d());
+        for (xs, ys) in [(&c, &d), (&d, &c), (&c, &c), (&d, &d)] {
+            for op in Op::ALL {
+                assert_eq!(run(op, xs, ys), naive_combine(op, xs, ys), "{op:?}");
+            }
+        }
+    }
+
+    fn fixture_c() -> Vec<Incident> {
+        let mut v = vec![
+            incident(&[1]),
+            incident(&[1, 2]),
+            incident(&[2]),
+            incident(&[3, 5]),
+            incident(&[4]),
+            incident(&[6, 7, 8]),
+        ];
+        v.sort_unstable();
+        v
+    }
+
+    fn fixture_d() -> Vec<Incident> {
+        let mut v = vec![
+            incident(&[2, 3]),
+            incident(&[3]),
+            incident(&[5]),
+            incident(&[6]),
+            incident(&[9]),
+        ];
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn sequential_binary_search_boundary() {
+        // o1.last() equal to some firsts: strict inequality must hold.
+        let left = vec![incident(&[3])];
+        let right = vec![incident(&[3]), incident(&[3, 9]), incident(&[4])];
+        assert_eq!(run(Op::Sequential, &left, &right), vec![incident(&[3, 4])]);
+        assert_eq!(run_sort_merge(&left, &right), vec![incident(&[3, 4])]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! 1. collects per-task cardinality and span statistics from the log and
 //!    its activity index ([`PlanStats`]),
 //! 2. enumerates equivalent trees via the paper's Theorem 2–5 rewrites
-//!    ([`RewriteCandidate`]),
+//!    ([`RewriteCandidate`]) — of the pattern and of the algebraic
+//!    optimizer's reshape of it ([`search_space`]), so no separate
+//!    optimization pass runs before the planner,
 //! 3. costs every candidate bottom-up with Lemma-1-style per-operator
 //!    bounds refined per physical implementation ([`PlanCost`]), and
 //! 4. picks the cheapest tree with a physical operator chosen per node
@@ -19,7 +21,9 @@
 //! `plan_equiv` proptest). Because the original pattern is always among
 //! the candidates, planning can never pick a tree worse than not planning
 //! — by its own estimates — and [`crate::Strategy::Planned`] is therefore
-//! the default strategy.
+//! the default strategy. [`Planner::plan_as_written`] skips step 2 and
+//! keeps the tree as written; it is [`crate::Strategy::Batch`]. Every
+//! strategy but the paper's Algorithm 1 oracle runs a [`PhysicalPlan`].
 
 mod cost;
 mod plan;
@@ -28,5 +32,5 @@ mod stats;
 
 pub use cost::{JoinShape, PlanCost};
 pub use plan::{PhysOp, PhysicalPlan, PlanNode, PlanRow, Planner};
-pub use rewrite::{candidates, RewriteCandidate};
+pub use rewrite::{candidates, search_space, RewriteCandidate};
 pub use stats::PlanStats;

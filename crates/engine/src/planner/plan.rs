@@ -6,7 +6,7 @@ use wlq_log::{Log, LogIndex};
 use wlq_pattern::{Atom, Op, Optimizer, Pattern};
 
 use super::cost::{JoinShape, PlanCost};
-use super::rewrite::{candidates, RewriteCandidate};
+use super::rewrite::{candidates, search_space, RewriteCandidate};
 use super::stats::PlanStats;
 
 /// The physical implementation chosen for one operator node.
@@ -222,6 +222,23 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
+    fn new(
+        query: &Pattern,
+        root: PlanNode,
+        rule: &'static str,
+        pattern: Pattern,
+        scored: Vec<(String, f64)>,
+    ) -> Self {
+        PhysicalPlan {
+            query: query.clone(),
+            counting_chain: is_counting_chain(&pattern),
+            root,
+            rule,
+            pattern,
+            scored,
+        }
+    }
+
     /// The query as given to the planner.
     #[must_use]
     pub fn query(&self) -> &Pattern {
@@ -357,21 +374,23 @@ impl Planner {
         &self.cost
     }
 
-    /// The equivalent rewritings considered for `p` (original first).
+    /// The equivalent rewritings of `p` (original first): `p`, its
+    /// single-rule rewrites, and the optimizer's reshape.
     #[must_use]
     pub fn candidates(&self, p: &Pattern) -> Vec<RewriteCandidate> {
         candidates(&self.optimizer, p)
     }
 
-    /// Plans `p`: costs every candidate rewrite and returns the cheapest
-    /// with physical operators selected per node. The candidate set
-    /// always includes `p` itself, so planning never regresses by its own
-    /// estimate.
+    /// Plans `p`: costs every candidate of `p` and of the optimizer's
+    /// reshape of `p` ([`search_space`](super::search_space)), and returns
+    /// the cheapest with physical operators selected per node. The
+    /// candidate set always includes `p` itself, so planning never
+    /// regresses by its own estimate.
     #[must_use]
     pub fn plan(&self, p: &Pattern) -> PhysicalPlan {
         let mut scored = Vec::new();
         let mut best: Option<(PlanNode, &'static str, Pattern)> = None;
-        for candidate in self.candidates(p) {
+        for candidate in search_space(&self.optimizer, p) {
             let node = build_node(&self.cost, &candidate.pattern);
             let cost = node.cost();
             scored.push((format!("{}: {}", candidate.rule, candidate.pattern), cost));
@@ -383,18 +402,22 @@ impl Planner {
                 best = Some((node, candidate.rule, candidate.pattern));
             }
         }
-        // `candidates` always returns at least the original pattern, so
-        // `best` is always set; the fallback keeps the API panic-free.
-        let (root, rule, pattern) =
-            best.unwrap_or_else(|| (build_node(&self.cost, p), "original", p.clone()));
-        PhysicalPlan {
-            query: p.clone(),
-            counting_chain: is_counting_chain(&pattern),
-            root,
-            rule,
-            pattern,
-            scored,
+        // The search space always holds the original pattern, so `best`
+        // is always set; the fallback keeps the API panic-free.
+        match best {
+            Some((root, rule, pattern)) => PhysicalPlan::new(p, root, rule, pattern, scored),
+            None => self.plan_as_written(p),
         }
+    }
+
+    /// Plans `p` with rewrites off: the tree as written, with physical
+    /// operators still chosen per node by cost (rule `"original"`). This
+    /// is what [`Strategy::Batch`](crate::Strategy::Batch) runs.
+    #[must_use]
+    pub fn plan_as_written(&self, p: &Pattern) -> PhysicalPlan {
+        let root = build_node(&self.cost, p);
+        let scored = vec![(format!("original: {p}"), root.cost())];
+        PhysicalPlan::new(p, root, "original", p.clone(), scored)
     }
 }
 

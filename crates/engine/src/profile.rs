@@ -1,9 +1,9 @@
 //! Instrumented evaluation (cargo feature `profiling`).
 //!
-//! The profiled executors here mirror the engine's unprofiled paths —
-//! [`Evaluator::execute_plan_in`] for [`Strategy::Planned`],
-//! [`Evaluator::evaluate_instance_batch_in`] for [`Strategy::Batch`], and
-//! [`Evaluator::evaluate_instance`] classically — recursion shape,
+//! The profiled executors here mirror the engine's two unprofiled paths —
+//! [`Evaluator::execute_plan_in`] for the physical plan
+//! ([`Strategy::Batch`] and [`Strategy::Planned`]) and the paper's
+//! Algorithm 1 oracle ([`Strategy::NaivePaper`]) — recursion shape,
 //! short-circuits, kernels, and arena discipline included, while
 //! accumulating per-node [`NodeMetrics`] into a plain `Vec` indexed by
 //! the node's pre-order position. The unprofiled hot path is never
@@ -15,8 +15,8 @@
 //!
 //! * **No instrumentation inside kernels.** `pairs_compared` is modelled
 //!   deterministically from operand and output sizes per physical
-//!   operator — nested loop `n1·n2`, batch `⊙`/`→` kernels
-//!   `n1·⌈log₂ n2⌉ + out` (one partner-run binary search per left
+//!   operator — nested loop (and Algorithm 1) `n1·n2`, batch `⊙`/`→`
+//!   kernels `n1·⌈log₂ n2⌉ + out` (one partner-run binary search per left
 //!   incident), sort-merge `n1 + n2 + out`, batch `⊗` merge `n1 + n2`,
 //!   batch `⊕` `n1·n2` — so the kernels the unprofiled path runs are
 //!   byte-for-byte the ones profiled runs execute.
@@ -33,11 +33,11 @@ use std::time::{Duration, Instant};
 
 use wlq_log::{IsLsn, Log, LogIndex, LogStats, Wid};
 use wlq_obs::{ExecutionProfile, NodeMetrics, NodeShape, ProfiledNode, WorkerProfile};
-use wlq_pattern::{Atom, CostModel, Op, Optimizer, Pattern};
+use wlq_pattern::{Atom, CostModel, Op, Pattern};
 
 use crate::batch::{BatchArena, IncidentBatch, IncidentRef};
 use crate::error::EngineError;
-use crate::eval::{combine, leaf_batch, leaf_incidents, Evaluator, Strategy};
+use crate::eval::{combine, leaf_batch, leaf_incidents, Evaluator, Exec, Strategy};
 use crate::incident::Incident;
 use crate::incident_set::IncidentSet;
 use crate::kernels;
@@ -75,14 +75,6 @@ pub fn profile_evaluation(
     Evaluator::with_strategy(log, strategy).evaluate_profiled(pattern, threads)
 }
 
-/// Which profiled executor a run uses; borrows the plan or pattern so
-/// parallel workers share one immutable mode.
-enum ExecMode<'p> {
-    Plan(&'p PlanNode),
-    Batch(&'p Pattern),
-    Classic(&'p Pattern),
-}
-
 /// One worker's haul: swept (wid, incidents) pairs, its metrics vector,
 /// instances swept, incidents emitted at the root, and busy time.
 type ProfiledPart = (
@@ -104,7 +96,7 @@ type MergedSweep = (
 impl Evaluator<'_> {
     /// Profiled [`evaluate`](Evaluator::evaluate): returns the same
     /// incident set plus an [`ExecutionProfile`] with per-node counters,
-    /// planner estimates next to actuals (under
+    /// planner estimates next to actuals (under [`Strategy::Batch`] and
     /// [`Strategy::Planned`]), and a per-worker breakdown.
     ///
     /// # Errors
@@ -120,9 +112,9 @@ impl Evaluator<'_> {
             return Err(EngineError::NoWorkers);
         }
         let start = Instant::now();
-        let plan = self.planner().map(|pl| pl.plan(pattern));
-        let (shapes, plan_text, rule) = match &plan {
-            Some(plan) => (
+        let exec = self.prepare(pattern);
+        let (shapes, rule) = match &exec {
+            Exec::Plan(plan) => (
                 plan.root()
                     .rows()
                     .into_iter()
@@ -134,27 +126,21 @@ impl Evaluator<'_> {
                         cost: Some(row.cost),
                     })
                     .collect::<Vec<_>>(),
-                plan.pattern().to_string(),
                 Some(plan.rule().to_string()),
             ),
-            None => {
-                let optimizer = Optimizer::new(LogStats::compute(self.log()));
+            Exec::Oracle(pattern) => {
+                let model = CostModel::new(LogStats::compute(self.log()));
                 let mut shapes = Vec::new();
-                pattern_shapes(pattern, 0, optimizer.model(), &mut shapes);
-                (shapes, pattern.to_string(), None)
+                pattern_shapes(pattern, 0, &model, &mut shapes);
+                (shapes, None)
             }
-        };
-        let mode = match &plan {
-            Some(plan) => ExecMode::Plan(plan.root()),
-            None if self.strategy() == Strategy::Batch => ExecMode::Batch(pattern),
-            None => ExecMode::Classic(pattern),
         };
         let node_count = shapes.len();
         let wids: Vec<Wid> = self.index().wids().collect();
 
         let (parts, merged, workers) = if threads == 1 || wids.len() <= 1 {
             let (part, metrics, instances, emitted, busy) =
-                self.sweep_profiled(&mode, &wids, node_count);
+                self.sweep_profiled(&exec, &wids, node_count);
             (
                 part,
                 metrics,
@@ -166,13 +152,13 @@ impl Evaluator<'_> {
                 }],
             )
         } else {
-            self.sweep_profiled_parallel(&mode, &wids, node_count, threads)?
+            self.sweep_profiled_parallel(&exec, &wids, node_count, threads)?
         };
 
         let set = IncidentSet::from_partitions(parts);
         let profile = ExecutionProfile {
             query: pattern.to_string(),
-            plan: plan_text,
+            plan: exec.pattern().to_string(),
             strategy: strategy_name(self.strategy()).to_string(),
             rule,
             threads,
@@ -189,14 +175,14 @@ impl Evaluator<'_> {
     }
 
     /// Sweeps `wids` sequentially with one metrics vector.
-    fn sweep_profiled(&self, mode: &ExecMode<'_>, wids: &[Wid], node_count: usize) -> ProfiledPart {
+    fn sweep_profiled(&self, exec: &Exec<'_>, wids: &[Wid], node_count: usize) -> ProfiledPart {
         let mut metrics = vec![NodeMetrics::new(); node_count];
         let mut arena = BatchArena::new();
         let mut part = Vec::with_capacity(wids.len());
         let mut emitted = 0u64;
         let busy = Instant::now();
         for &wid in wids {
-            let incidents = self.run_instance_profiled(mode, wid, &mut arena, &mut metrics);
+            let incidents = self.run_instance_profiled(exec, wid, &mut arena, &mut metrics);
             emitted += incidents.len() as u64;
             part.push((wid, incidents));
         }
@@ -209,7 +195,7 @@ impl Evaluator<'_> {
     /// joins.
     fn sweep_profiled_parallel(
         &self,
-        mode: &ExecMode<'_>,
+        exec: &Exec<'_>,
         wids: &[Wid],
         node_count: usize,
         threads: usize,
@@ -232,7 +218,7 @@ impl Evaluator<'_> {
                                 let Some(&wid) = wids.get(i) else { break };
                                 let t = Instant::now();
                                 let incidents =
-                                    self.run_instance_profiled(mode, wid, &mut arena, &mut metrics);
+                                    self.run_instance_profiled(exec, wid, &mut arena, &mut metrics);
                                 busy += t.elapsed();
                                 emitted += incidents.len() as u64;
                                 part.push((wid, incidents));
@@ -281,33 +267,25 @@ impl Evaluator<'_> {
         Ok((parts, merged, workers))
     }
 
-    /// Evaluates one instance under `mode`, materializing classic
+    /// Evaluates one instance under `exec`, materializing classic
     /// incidents (the per-instance unit parallel workers claim).
     fn run_instance_profiled(
         &self,
-        mode: &ExecMode<'_>,
+        exec: &Exec<'_>,
         wid: Wid,
         arena: &mut BatchArena,
         metrics: &mut [NodeMetrics],
     ) -> Vec<Incident> {
         let mut idx = 0;
-        match mode {
-            ExecMode::Plan(root) => {
-                let mut batch = self.execute_plan_profiled(root, wid, arena, metrics, &mut idx);
-                let incidents = batch.drain_incidents();
-                arena.recycle(batch);
-                incidents
-            }
-            ExecMode::Batch(pattern) => {
+        match exec {
+            Exec::Plan(plan) => {
                 let mut batch =
-                    self.evaluate_batch_profiled(pattern, wid, arena, metrics, &mut idx);
+                    self.execute_plan_profiled(plan.root(), wid, arena, metrics, &mut idx);
                 let incidents = batch.drain_incidents();
                 arena.recycle(batch);
                 incidents
             }
-            ExecMode::Classic(pattern) => {
-                self.evaluate_classic_profiled(pattern, wid, metrics, &mut idx)
-            }
+            Exec::Oracle(pattern) => self.evaluate_oracle_profiled(pattern, wid, metrics, &mut idx),
         }
     }
 
@@ -374,58 +352,9 @@ impl Evaluator<'_> {
         }
     }
 
-    /// Profiled mirror of
-    /// [`Evaluator::evaluate_instance_batch_in`].
-    fn evaluate_batch_profiled(
-        &self,
-        pattern: &Pattern,
-        wid: Wid,
-        arena: &mut BatchArena,
-        metrics: &mut [NodeMetrics],
-        idx: &mut usize,
-    ) -> IncidentBatch {
-        let my = *idx;
-        *idx += 1;
-        match pattern {
-            Pattern::Atom(atom) => {
-                let start = Instant::now();
-                let batch = leaf_batch(atom, self.log(), self.index(), wid, arena);
-                let elapsed = start.elapsed();
-                if let Some(m) = metrics.get_mut(my) {
-                    m.wall += elapsed;
-                    m.records_scanned += scanned_for(self.index(), atom, wid);
-                    m.incidents_emitted += batch.len() as u64;
-                    m.output_bytes += batch_bytes(&batch);
-                }
-                batch
-            }
-            Pattern::Binary { op, left, right } => {
-                let l = self.evaluate_batch_profiled(left, wid, arena, metrics, idx);
-                if l.is_empty() && *op != Op::Choice {
-                    *idx += tree_nodes(right);
-                    return l;
-                }
-                let r = self.evaluate_batch_profiled(right, wid, arena, metrics, idx);
-                let start = Instant::now();
-                let mut out = arena.alloc(wid);
-                kernels::combine_batch_into(*op, &l, &r, &mut out);
-                let elapsed = start.elapsed();
-                if let Some(m) = metrics.get_mut(my) {
-                    m.wall += elapsed;
-                    m.pairs_compared += batch_pairs(*op, l.len(), r.len(), out.len());
-                    m.incidents_emitted += out.len() as u64;
-                    m.output_bytes += batch_bytes(&out);
-                }
-                arena.recycle(l);
-                arena.recycle(r);
-                out
-            }
-        }
-    }
-
-    /// Profiled mirror of [`Evaluator::evaluate_instance`] for the
-    /// classic (naive / optimized) operator implementations.
-    fn evaluate_classic_profiled(
+    /// Profiled mirror of the paper's Algorithm 1 oracle
+    /// ([`Strategy::NaivePaper`]).
+    fn evaluate_oracle_profiled(
         &self,
         pattern: &Pattern,
         wid: Wid,
@@ -448,19 +377,19 @@ impl Evaluator<'_> {
                 out
             }
             Pattern::Binary { op, left, right } => {
-                let l = self.evaluate_classic_profiled(left, wid, metrics, idx);
+                let l = self.evaluate_oracle_profiled(left, wid, metrics, idx);
                 if l.is_empty() && *op != Op::Choice {
                     *idx += tree_nodes(right);
                     return Vec::new();
                 }
-                let r = self.evaluate_classic_profiled(right, wid, metrics, idx);
+                let r = self.evaluate_oracle_profiled(right, wid, metrics, idx);
                 let start = Instant::now();
-                let out = combine(self.strategy(), *op, &l, &r);
+                let out = combine(Strategy::NaivePaper, *op, &l, &r);
                 let elapsed = start.elapsed();
                 if let Some(m) = metrics.get_mut(my) {
                     m.wall += elapsed;
                     m.pairs_compared +=
-                        classic_pairs(self.strategy(), *op, l.len(), r.len(), out.len());
+                        join_pairs(PhysOp::NestedLoop, *op, l.len(), r.len(), out.len());
                     m.incidents_emitted += out.len() as u64;
                     m.output_bytes += classic_bytes(&out);
                 }
@@ -470,8 +399,8 @@ impl Evaluator<'_> {
     }
 }
 
-/// Pre-order [`NodeShape`]s of a pattern tree (the non-planned
-/// strategies' skeleton), with [`CostModel`] cardinality estimates and
+/// Pre-order [`NodeShape`]s of a pattern tree (the oracle's skeleton),
+/// with [`CostModel`] cardinality estimates and
 /// no cost column.
 fn pattern_shapes(p: &Pattern, depth: usize, model: &CostModel, out: &mut Vec<NodeShape>) {
     let label = match p {
@@ -495,7 +424,6 @@ fn pattern_shapes(p: &Pattern, depth: usize, model: &CostModel, out: &mut Vec<No
 fn strategy_name(strategy: Strategy) -> &'static str {
     match strategy {
         Strategy::NaivePaper => "naive-paper",
-        Strategy::Optimized => "optimized",
         Strategy::Batch => "batch",
         Strategy::Planned => "planned",
     }
@@ -561,16 +489,6 @@ fn join_pairs(phys: PhysOp, op: Op, n1: usize, n2: usize, out: usize) -> u64 {
     }
 }
 
-/// The modelled comparison count of one classic operator: all-pairs for
-/// the paper's Algorithm 1, the batch-kernel model for the
-/// output-sensitive implementations.
-fn classic_pairs(strategy: Strategy, op: Op, n1: usize, n2: usize, out: usize) -> u64 {
-    match strategy {
-        Strategy::NaivePaper => n1 as u64 * n2 as u64,
-        _ => batch_pairs(op, n1, n2, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,12 +502,7 @@ mod tests {
     #[test]
     fn profiled_matches_unprofiled_for_every_strategy() {
         let log = paper::figure3_log();
-        for strategy in [
-            Strategy::NaivePaper,
-            Strategy::Optimized,
-            Strategy::Batch,
-            Strategy::Planned,
-        ] {
+        for strategy in [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned] {
             let eval = Evaluator::with_strategy(&log, strategy);
             for src in [
                 "SeeDoctor",
@@ -681,7 +594,7 @@ mod tests {
         // instance, but its nodes must still exist (zeroed) in the
         // profile rather than shifting later siblings' counters.
         let p = parse("Nope ~> (SeeDoctor -> PayTreatment)");
-        for strategy in [Strategy::Optimized, Strategy::Batch, Strategy::Planned] {
+        for strategy in [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned] {
             let eval = Evaluator::with_strategy(&log, strategy);
             let (set, profile) = eval.evaluate_profiled(&p, 1).unwrap();
             assert!(set.is_empty());
@@ -721,6 +634,7 @@ mod tests {
         );
         assert_eq!(join_pairs(PhysOp::BatchKernel, Op::Choice, 3, 5, 8), 8);
         assert_eq!(join_pairs(PhysOp::BatchKernel, Op::Parallel, 3, 5, 2), 15);
-        assert_eq!(classic_pairs(Strategy::NaivePaper, Op::Choice, 3, 5, 8), 15);
+        // Algorithm 1 is priced as a nested loop for every operator.
+        assert_eq!(join_pairs(PhysOp::NestedLoop, Op::Choice, 3, 5, 8), 15);
     }
 }

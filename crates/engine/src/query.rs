@@ -1,15 +1,14 @@
 //! High-level query API: parse once, choose a strategy, project results.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use wlq_log::{Log, LogStats, Value, Wid};
-use wlq_pattern::{Optimizer, ParsePatternError, Pattern};
+use wlq_log::{Log, Value, Wid};
+use wlq_pattern::{ParsePatternError, Pattern};
 
 use crate::error::EngineError;
 use crate::eval::{Evaluator, Strategy};
 use crate::incident_set::IncidentSet;
-use crate::parallel::evaluate_parallel;
 
 /// A reusable incident-pattern query with evaluation options.
 ///
@@ -34,7 +33,6 @@ use crate::parallel::evaluate_parallel;
 pub struct Query {
     pattern: Pattern,
     strategy: Strategy,
-    optimize: bool,
     threads: usize,
 }
 
@@ -45,7 +43,6 @@ impl Query {
         Query {
             pattern,
             strategy: Strategy::default(),
-            optimize: true,
             threads: 1,
         }
     }
@@ -67,13 +64,6 @@ impl Query {
         self
     }
 
-    /// Enables or disables algebraic pre-optimization (default: enabled).
-    #[must_use]
-    pub fn optimize(mut self, enabled: bool) -> Self {
-        self.optimize = enabled;
-        self
-    }
-
     /// Sets the number of worker threads for evaluation (default 1).
     ///
     /// The value is not validated here: evaluation methods report a zero
@@ -90,25 +80,18 @@ impl Query {
         &self.pattern
     }
 
-    /// The configured strategy (internal: used by the span/limit helpers).
-    pub(crate) fn strategy_setting(&self) -> Strategy {
-        self.strategy
+    /// The evaluator the query runs on.
+    pub(crate) fn evaluator<'l>(&self, log: &'l Log) -> Evaluator<'l> {
+        Evaluator::with_strategy(log, self.strategy)
     }
 
-    /// The pattern that will actually run against `log` (after algebraic
-    /// optimization, if enabled).
-    ///
-    /// This is the pattern-level plan only. Under [`Strategy::Planned`]
-    /// the evaluator additionally runs its own cost-based physical pass —
-    /// candidate rewrites plus per-node operator selection; see
-    /// [`crate::planner`] and [`Evaluator::physical_plan`].
+    /// The pattern that runs against `log`: the planner's chosen tree
+    /// ([`PhysicalPlan::pattern`](crate::PhysicalPlan::pattern)) — the
+    /// pattern as written under [`Strategy::Batch`] and
+    /// [`Strategy::NaivePaper`].
     #[must_use]
     pub fn plan(&self, log: &Log) -> Pattern {
-        if self.optimize {
-            Optimizer::new(LogStats::compute(log)).optimize(&self.pattern)
-        } else {
-            self.pattern.clone()
-        }
+        self.evaluator(log).prepare(&self.pattern).pattern().clone()
     }
 
     /// Evaluates the query, returning all incidents.
@@ -119,25 +102,14 @@ impl Query {
     /// is 0 and [`EngineError::WorkerPanicked`] if a parallel worker
     /// panics.
     pub fn find(&self, log: &Log) -> Result<IncidentSet, EngineError> {
-        if self.threads == 0 {
-            return Err(EngineError::NoWorkers);
-        }
-        self.find_planned(log, &self.plan(log))
+        self.evaluator(log)
+            .evaluate_parallel(&self.pattern, self.threads)
     }
 
-    /// Evaluates an already planned pattern (see [`plan`](Self::plan)).
-    fn find_planned(&self, log: &Log, plan: &Pattern) -> Result<IncidentSet, EngineError> {
-        if self.threads > 1 {
-            evaluate_parallel(log, plan, self.threads, self.strategy)
-        } else {
-            Ok(Evaluator::with_strategy(log, self.strategy).evaluate(plan))
-        }
-    }
-
-    /// Whether the log contains any incident of the pattern.
-    ///
-    /// Chain plans use the enumeration-free counting DP; other shapes use
-    /// per-instance evaluation with early exit.
+    /// Whether the log contains any incident of the pattern, from
+    /// [`Evaluator::exists`] on one thread: chain plans use the
+    /// enumeration-free counting DP; other shapes stop at the first
+    /// matching instance.
     ///
     /// # Errors
     ///
@@ -146,19 +118,17 @@ impl Query {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let plan = self.plan(log);
-        if let Some(count) = crate::counting::fast_count(log, &plan) {
-            return Ok(count > 0);
-        }
-        Ok(Evaluator::with_strategy(log, self.strategy).exists(&plan))
+        Ok(self.evaluator(log).exists(&self.pattern))
     }
 
     /// The number of incidents, `|incL(p)|`.
     ///
-    /// When the (optimized) plan is a `~>`/`->` chain of predicate-free
-    /// atoms, the count is computed by the enumeration-free dynamic
-    /// program of [`fast_count`](crate::fast_count) in `O(m·k)`; other
-    /// shapes fall back to full evaluation of the same plan.
+    /// When the plan is a `~>`/`->` chain of predicate-free atoms, the
+    /// count is computed by the enumeration-free dynamic program of
+    /// [`fast_count`](crate::fast_count) in `O(m·k)`, at any thread
+    /// count. Other shapes count batch refs on one thread
+    /// ([`Evaluator::count`]) and the parallel evaluation on several.
+    /// Under [`Strategy::NaivePaper`] the paper's Algorithm 1 answers.
     ///
     /// # Errors
     ///
@@ -167,11 +137,15 @@ impl Query {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let plan = self.plan(log);
-        if let Some(count) = crate::counting::fast_count(log, &plan) {
-            return Ok(count);
+        let evaluator = self.evaluator(log);
+        if self.threads == 1 {
+            return Ok(evaluator.count(&self.pattern));
         }
-        Ok(self.find_planned(log, &plan)?.len())
+        let exec = evaluator.prepare(&self.pattern);
+        if let Some(n) = evaluator.counting_dp(&exec) {
+            return Ok(n);
+        }
+        Ok(evaluator.evaluate_exec_parallel(&exec, self.threads)?.len())
     }
 
     /// Incident counts per workflow instance (instances with none are
@@ -223,15 +197,16 @@ impl Query {
         if self.threads == 0 {
             return Err(EngineError::NoWorkers);
         }
-        let start = std::time::Instant::now();
-        let plan = self.plan(log);
+        let evaluator = self.evaluator(log);
+        let start = Instant::now();
+        let exec = evaluator.prepare(&self.pattern);
         let plan_time = start.elapsed();
-        let start = std::time::Instant::now();
-        let incidents = self.find_planned(log, &plan)?;
+        let start = Instant::now();
+        let incidents = evaluator.evaluate_exec_parallel(&exec, self.threads)?;
         let eval_time = start.elapsed();
         Ok(QueryProfile {
             pattern: self.pattern.to_string(),
-            plan: plan.to_string(),
+            plan: exec.pattern().to_string(),
             incidents,
             plan_time,
             eval_time,
@@ -263,11 +238,14 @@ fn attr_value_at(log: &Log, wid: Wid, position: wlq_log::IsLsn, attr: &str) -> V
 pub struct QueryProfile {
     /// The query pattern as written.
     pub pattern: String,
-    /// The optimized plan that actually ran.
+    /// The pattern that actually ran: the planner's chosen tree
+    /// ([`PhysicalPlan::pattern`](crate::PhysicalPlan::pattern)), or the
+    /// pattern as written under [`Strategy::Batch`] and
+    /// [`Strategy::NaivePaper`].
     pub plan: String,
     /// The incidents found.
     pub incidents: IncidentSet,
-    /// Time spent in the optimizer.
+    /// Time spent in the planner.
     pub plan_time: Duration,
     /// Time spent evaluating.
     pub eval_time: Duration,
@@ -306,53 +284,41 @@ mod tests {
 
     #[test]
     fn optimization_does_not_change_results() {
+        // Planned rewrites the tree; Batch runs it as written.
         let log = paper::figure3_log();
         for src in [
             "SeeDoctor -> UpdateRefer -> GetReimburse",
             "(GetRefer -> CheckIn) | (GetRefer -> SeeDoctor)",
             "SeeDoctor & PayTreatment & UpdateRefer",
         ] {
-            let with = Query::parse(src)
-                .unwrap()
-                .optimize(true)
-                .find(&log)
-                .unwrap();
-            let without = Query::parse(src)
-                .unwrap()
-                .optimize(false)
-                .find(&log)
-                .unwrap();
-            assert_eq!(with, without, "optimize changed results of {src}");
+            let q = Query::parse(src).unwrap();
+            let with = q.clone().strategy(Strategy::Planned).find(&log).unwrap();
+            let without = q.clone().strategy(Strategy::Batch).find(&log).unwrap();
+            assert_eq!(with, without, "planning changed results of {src}");
+            assert_eq!(q.clone().strategy(Strategy::Batch).plan(&log), *q.pattern());
         }
     }
 
     #[test]
     fn strategies_and_threads_agree() {
         let log = paper::figure3_log();
-        let q = Query::parse("GetRefer -> (SeeDoctor & PayTreatment)").unwrap();
-        let a = q.clone().strategy(Strategy::NaivePaper).find(&log).unwrap();
-        let b = q.clone().strategy(Strategy::Optimized).find(&log).unwrap();
-        let c = q.clone().threads(4).find(&log).unwrap();
-        let d = q.clone().strategy(Strategy::Batch).find(&log).unwrap();
-        let e = q
-            .clone()
-            .strategy(Strategy::Batch)
-            .threads(4)
-            .find(&log)
-            .unwrap();
-        let f = q.clone().strategy(Strategy::Planned).find(&log).unwrap();
-        let g = q
-            .clone()
-            .strategy(Strategy::Planned)
-            .threads(4)
-            .find(&log)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-        assert_eq!(b, d);
-        assert_eq!(b, e);
-        assert_eq!(b, f);
-        assert_eq!(b, g);
+        // A chain (counted by the DP at every thread count) and a tree.
+        for src in [
+            "SeeDoctor -> PayTreatment -> GetReimburse",
+            "GetRefer -> (SeeDoctor & PayTreatment)",
+        ] {
+            let q = Query::parse(src).unwrap();
+            let reference = q.clone().strategy(Strategy::NaivePaper).find(&log).unwrap();
+            for strategy in [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned] {
+                for threads in [1, 4] {
+                    let q = q.clone().strategy(strategy).threads(threads);
+                    let at = format!("{src}: {strategy:?} x {threads}");
+                    assert_eq!(q.find(&log).unwrap(), reference, "{at}");
+                    assert_eq!(q.count(&log).unwrap(), reference.len(), "{at}");
+                    assert_eq!(q.exists(&log).unwrap(), !reference.is_empty(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use wlq_log::Log;
 
+use crate::batch::BatchArena;
 use crate::error::EngineError;
 use crate::incident_set::IncidentSet;
 use crate::query::Query;
@@ -76,30 +77,35 @@ impl Query {
     /// quota is reached (instances are scanned in `wid` order).
     ///
     /// Useful for "show me a few examples" exploration on large logs —
-    /// the remaining instances are never evaluated.
+    /// the pattern is planned once, and the remaining instances are never
+    /// evaluated.
     #[must_use]
     pub fn find_first(&self, log: &Log, limit: usize) -> IncidentSet {
-        let plan = self.plan(log);
-        let evaluator = crate::eval::Evaluator::with_strategy(log, self.strategy_setting());
-        let mut out = IncidentSet::new();
+        let evaluator = self.evaluator(log);
+        let exec = evaluator.prepare(self.pattern());
+        let mut arena = BatchArena::new();
+        let mut parts = Vec::new();
+        let mut remaining = limit;
         for wid in evaluator.index().wids() {
-            if out.len() >= limit {
+            if remaining == 0 {
                 break;
             }
-            for incident in evaluator.evaluate_instance(&plan, wid) {
-                out.insert(incident);
-                if out.len() >= limit {
-                    break;
-                }
-            }
+            let mut incidents = evaluator.instance_incidents(&exec, wid, &mut arena);
+            // The instance's first incidents in the set's order.
+            incidents.sort_unstable();
+            incidents.dedup();
+            incidents.truncate(remaining);
+            remaining -= incidents.len();
+            parts.push((wid, incidents));
         }
-        out
+        IncidentSet::from_partitions(parts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Strategy;
     use wlq_log::paper;
 
     #[test]
@@ -153,14 +159,24 @@ mod tests {
     #[test]
     fn find_first_respects_the_limit_and_is_a_subset() {
         let log = paper::figure3_log();
-        let q = Query::parse("SeeDoctor").unwrap();
-        let all = q.find(&log).unwrap();
-        for limit in 0..=5 {
-            let some = q.find_first(&log, limit);
-            assert!(some.len() <= limit);
-            assert_eq!(some.len(), limit.min(all.len()));
-            for incident in some.iter() {
-                assert!(all.contains(incident));
+        for src in [
+            "SeeDoctor",
+            "SeeDoctor -> PayTreatment",
+            "GetRefer | SeeDoctor",
+        ] {
+            for strategy in [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned] {
+                let q = Query::parse(src).unwrap().strategy(strategy);
+                let all = q.find(&log).unwrap();
+                for limit in 0..=all.len() + 1 {
+                    let some = q.find_first(&log, limit);
+                    assert!(some.len() <= limit);
+                    assert_eq!(some.len(), limit.min(all.len()));
+                    // The first `limit` incidents of `find`, in order.
+                    assert!(
+                        some.iter().eq(all.iter().take(limit)),
+                        "{src} under {strategy:?}, limit {limit}"
+                    );
+                }
             }
         }
     }

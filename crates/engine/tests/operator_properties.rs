@@ -1,16 +1,22 @@
-//! Operator-level property tests: the naive (Algorithm 1) and optimized
-//! implementations agree on *arbitrary* incident lists — including
+//! Operator-level property tests: the naive (Algorithm 1) operators and
+//! the batch kernels agree on *arbitrary* incident lists — including
 //! multi-record incidents with overlapping spans, the shapes that stress
-//! the hash/merge/short-circuit paths — and the operators' semantic
-//! postconditions hold on every output.
+//! the partner-search/merge/short-circuit paths — and the kernels'
+//! semantic postconditions hold on every output.
 
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, Strategy};
 
 use wlq_engine::{
-    combine, combine_batch, naive, optimized, Incident, IncidentBatch, Strategy as EvalStrategy,
+    combine, combine_batch, naive, Incident, IncidentBatch, Strategy as EvalStrategy,
 };
 use wlq_log::{IsLsn, Wid};
 use wlq_pattern::Op;
+
+/// The batch kernels, reached through the list-level dispatcher (which
+/// converts at the boundary, as incident trees and streaming do).
+fn kernel(op: Op, left: &[Incident], right: &[Incident]) -> Vec<Incident> {
+    combine(EvalStrategy::Batch, op, left, right)
+}
 
 /// Arbitrary sorted, deduplicated incident lists of one instance, with
 /// incidents of 1–4 records at positions 1–12 (dense, so overlaps and
@@ -30,24 +36,21 @@ fn arb_incidents() -> impl Strategy<Value = Vec<Incident>> {
 }
 
 proptest! {
-    /// All four operators: naive ≡ optimized on arbitrary inputs.
+    /// All four operators: naive ≡ batch kernels on arbitrary inputs.
     #[test]
     fn implementations_agree(left in arb_incidents(), right in arb_incidents()) {
         prop_assert_eq!(
             naive::consecutive_eval(&left, &right),
-            optimized::consecutive_eval(&left, &right)
+            kernel(Op::Consecutive, &left, &right)
         );
         prop_assert_eq!(
             naive::sequential_eval(&left, &right),
-            optimized::sequential_eval(&left, &right)
+            kernel(Op::Sequential, &left, &right)
         );
-        prop_assert_eq!(
-            naive::choice_eval(&left, &right),
-            optimized::choice_eval(&left, &right)
-        );
+        prop_assert_eq!(naive::choice_eval(&left, &right), kernel(Op::Choice, &left, &right));
         prop_assert_eq!(
             naive::parallel_eval(&left, &right),
-            optimized::parallel_eval(&left, &right)
+            kernel(Op::Parallel, &left, &right)
         );
         // The dispatch wrapper agrees with the direct calls, and the flat
         // batch kernels with both — via the dispatcher (which converts at
@@ -56,13 +59,10 @@ proptest! {
         let rb = IncidentBatch::from_incidents(Wid(1), &right);
         for op in Op::ALL {
             let reference = combine(EvalStrategy::NaivePaper, op, &left, &right);
+            prop_assert_eq!(&reference, &kernel(op, &left, &right));
             prop_assert_eq!(
                 &reference,
-                &combine(EvalStrategy::Optimized, op, &left, &right)
-            );
-            prop_assert_eq!(
-                &reference,
-                &combine(EvalStrategy::Batch, op, &left, &right)
+                &combine(EvalStrategy::Planned, op, &left, &right)
             );
             prop_assert_eq!(&reference, &combine_batch(op, &lb, &rb).into_incidents());
         }
@@ -75,9 +75,9 @@ proptest! {
         // outputs don't record the split, check the verifiable parts:
         // sortedness, dedup, and span containment.
         for (op, out) in [
-            (Op::Consecutive, optimized::consecutive_eval(&left, &right)),
-            (Op::Sequential, optimized::sequential_eval(&left, &right)),
-            (Op::Parallel, optimized::parallel_eval(&left, &right)),
+            (Op::Consecutive, kernel(Op::Consecutive, &left, &right)),
+            (Op::Sequential, kernel(Op::Sequential, &left, &right)),
+            (Op::Parallel, kernel(Op::Parallel, &left, &right)),
         ] {
             prop_assert!(out.windows(2).all(|w| w[0] < w[1]), "{op:?} unsorted/dup");
             for o in &out {
@@ -98,7 +98,7 @@ proptest! {
             }
         }
         // Choice: exactly the set union.
-        let union = optimized::choice_eval(&left, &right);
+        let union = kernel(Op::Choice, &left, &right);
         for o in &union {
             prop_assert!(left.contains(o) || right.contains(o));
         }
@@ -110,9 +110,9 @@ proptest! {
     /// Completeness: every qualifying pair appears in the output.
     #[test]
     fn outputs_are_complete(left in arb_incidents(), right in arb_incidents()) {
-        let seq = optimized::sequential_eval(&left, &right);
-        let cons = optimized::consecutive_eval(&left, &right);
-        let par = optimized::parallel_eval(&left, &right);
+        let seq = kernel(Op::Sequential, &left, &right);
+        let cons = kernel(Op::Consecutive, &left, &right);
+        let par = kernel(Op::Parallel, &left, &right);
         for l in &left {
             for r in &right {
                 if l.last() < r.first() {
@@ -132,9 +132,9 @@ proptest! {
     #[test]
     fn lemma1_size_bounds(left in arb_incidents(), right in arb_incidents()) {
         let (n1, n2) = (left.len(), right.len());
-        prop_assert!(optimized::consecutive_eval(&left, &right).len() <= n1 * n2);
-        prop_assert!(optimized::sequential_eval(&left, &right).len() <= n1 * n2);
-        prop_assert!(optimized::parallel_eval(&left, &right).len() <= n1 * n2);
-        prop_assert!(optimized::choice_eval(&left, &right).len() <= n1 + n2);
+        prop_assert!(kernel(Op::Consecutive, &left, &right).len() <= n1 * n2);
+        prop_assert!(kernel(Op::Sequential, &left, &right).len() <= n1 * n2);
+        prop_assert!(kernel(Op::Parallel, &left, &right).len() <= n1 * n2);
+        prop_assert!(kernel(Op::Choice, &left, &right).len() <= n1 + n2);
     }
 }

@@ -5,11 +5,13 @@
 //! ```
 //!
 //! Each iteration generates a random valid log and a random pattern over
-//! its alphabet, evaluates the pair under NaivePaper / Optimized / Batch
-//! / parallel(1, 4) / streaming-replay / fast_count, and cross-checks
-//! the results — also over the log read back from its text and binary
-//! encodings, so the readers run under the NaivePaper oracle too. It also mutates a valid log into a Definition 2
-//! violation and asserts that `Log::new` rejects it with a typed error.
+//! its alphabet, evaluates the pair under NaivePaper (the oracle), Batch
+//! and Planned (evaluate, count, exists), parallel(1, 4), profiled(1, 4),
+//! streaming-replay and fast_count, and cross-checks the results — also
+//! over the log read back from its text and binary encodings, so the
+//! readers run under the NaivePaper oracle too. It also mutates a valid
+//! log into a Definition 2 violation and asserts that `Log::new` rejects
+//! it with a typed error.
 //!
 //! On divergence the pair is shrunk to a minimal reproducer, written to
 //! the fixture directory (replayed by `tests/regressions.rs`), and the

@@ -47,11 +47,13 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 /// the results against the paper-faithful naive evaluation. Returns the
 /// first divergence, or `None` when all strategies agree.
 ///
-/// Strategies covered: `NaivePaper` (reference), `Optimized`, `Batch`,
-/// `Planned` (the cost-based planner, including its `count`/`exists`
-/// routing), parallel evaluation with 1 and 4 workers, a full streaming
-/// replay, profiled evaluation under every strategy (the profiler must
-/// be strictly read-only), and — when the pattern is a chain — the
+/// Covered, against the `NaivePaper` oracle (Algorithm 1): `Batch` (the
+/// planner with rewrites off) and `Planned` (the cost-based planner) on
+/// `evaluate`, `count` and `exists` — `count`/`exists` include the
+/// counting-DP routing; parallel evaluation with 1 and 4 workers under
+/// `Batch` and `Planned`; a full streaming replay; profiled evaluation
+/// with 1 and 4 workers under every strategy (the profiler must be
+/// strictly read-only); and — when the pattern is a chain — the
 /// `fast_count` DP. The log is also written as text and as binary and
 /// read back: the copy must be equal, and NaivePaper and Planned over it
 /// must give the reference answer.
@@ -59,57 +61,52 @@ fn against(reference: &IncidentSet, name: &str, got: &IncidentSet) -> Option<Div
 pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
     let reference = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(pattern);
 
-    let optimized = Evaluator::with_strategy(log, Strategy::Optimized).evaluate(pattern);
-    if let Some(d) = against(&reference, "Optimized", &optimized) {
-        return Some(d);
+    // Both plans — the tree as written and the planner's rewrite — with
+    // per-node physical operators; count/exists route chains through the
+    // counting DP, so all three entry points are checked.
+    for strategy in [Strategy::Batch, Strategy::Planned] {
+        let eval = Evaluator::with_strategy(log, strategy);
+        if let Some(d) = against(
+            &reference,
+            &format!("{strategy:?}"),
+            &eval.evaluate(pattern),
+        ) {
+            return Some(d);
+        }
+        let count = eval.count(pattern);
+        if count != reference.len() {
+            return Some(Divergence {
+                strategy: format!("{strategy:?}::count"),
+                expected: reference.len(),
+                got: format!("{count} (count only)"),
+            });
+        }
+        let exists = eval.exists(pattern);
+        if exists == reference.is_empty() {
+            return Some(Divergence {
+                strategy: format!("{strategy:?}::exists"),
+                expected: reference.len(),
+                got: format!("exists = {exists}"),
+            });
+        }
     }
 
-    let batch = Evaluator::with_strategy(log, Strategy::Batch).evaluate(pattern);
-    if let Some(d) = against(&reference, "Batch", &batch) {
-        return Some(d);
-    }
-
-    // The planner picks an arbitrary equivalent rewrite and per-node
-    // physical operators, and routes count/exists through the counting
-    // DP for chains — check all three entry points.
-    let planned_eval = Evaluator::with_strategy(log, Strategy::Planned);
-    let planned = planned_eval.evaluate(pattern);
-    if let Some(d) = against(&reference, "Planned", &planned) {
-        return Some(d);
-    }
-    if planned_eval.count(pattern) != reference.len() {
-        return Some(Divergence {
-            strategy: "Planned::count".to_string(),
-            expected: reference.len(),
-            got: format!("{} (count only)", planned_eval.count(pattern)),
-        });
-    }
-    if planned_eval.exists(pattern) == reference.is_empty() {
-        return Some(Divergence {
-            strategy: "Planned::exists".to_string(),
-            expected: reference.len(),
-            got: format!("exists = {}", planned_eval.exists(pattern)),
-        });
-    }
-
-    for (threads, strategy) in [
-        (1usize, Strategy::Optimized),
-        (4, Strategy::Optimized),
-        (4, Strategy::Planned),
-    ] {
-        let name = format!("parallel({threads}, {strategy:?})");
-        match evaluate_parallel(log, pattern, threads, strategy) {
-            Ok(set) => {
-                if let Some(d) = against(&reference, &name, &set) {
-                    return Some(d);
+    for strategy in [Strategy::Batch, Strategy::Planned] {
+        for threads in [1usize, 4] {
+            let name = format!("parallel({threads}, {strategy:?})");
+            match evaluate_parallel(log, pattern, threads, strategy) {
+                Ok(set) => {
+                    if let Some(d) = against(&reference, &name, &set) {
+                        return Some(d);
+                    }
                 }
-            }
-            Err(e) => {
-                return Some(Divergence {
-                    strategy: name,
-                    expected: reference.len(),
-                    got: format!("error: {e}"),
-                });
+                Err(e) => {
+                    return Some(Divergence {
+                        strategy: name,
+                        expected: reference.len(),
+                        got: format!("error: {e}"),
+                    });
+                }
             }
         }
     }
@@ -128,15 +125,10 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
         return Some(d);
     }
 
-    // Profiled execution mirrors each strategy's executors with
+    // Profiled execution mirrors the executor and the oracle with
     // instrumented copies; the mirror must be byte-identical — same
     // incident set, and counters consistent with it.
-    for strategy in [
-        Strategy::NaivePaper,
-        Strategy::Optimized,
-        Strategy::Batch,
-        Strategy::Planned,
-    ] {
+    for strategy in [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned] {
         for threads in [1usize, 4] {
             let name = format!("profiled({threads}, {strategy:?})");
             match profile_evaluation(log, pattern, strategy, threads) {

@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Incident-tree trace (the paper's Example 5 walkthrough). ──────
     let tree = IncidentTree::from_pattern(&"Submit -> (Reject -> Appeal)".parse()?);
     let index = loans.index();
-    let (_, trace) = tree.evaluate_traced(&loans, index, Strategy::Optimized);
+    let (_, trace) = tree.evaluate_traced(&loans, index, Strategy::Batch);
     println!("\nincident-tree evaluation trace:\n{trace}");
     Ok(())
 }

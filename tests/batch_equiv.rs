@@ -1,16 +1,17 @@
-//! Equivalence suite for the flat arena-backed evaluation path.
+//! Equivalence suite for the physical executor.
 //!
-//! Random logs × random patterns (depth ≤ 4): [`Strategy::NaivePaper`],
-//! [`Strategy::Optimized`], and [`Strategy::Batch`] must produce identical
-//! incident sets, and the batch evaluator's ref-based `count`/`exists`
-//! (which never materialise an incident) must agree with the materialised
-//! answers. Deeper trees than `laws.rs` samples, because the batch path
-//! recycles operator batches through its arena at every internal node —
-//! depth is exactly what stresses the recycling.
+//! Random logs × random patterns (depth ≤ 4): [`Strategy::Batch`] (the
+//! physical plan of the tree as written) and [`Strategy::Planned`] (the
+//! planner's rewrite) must produce exactly the incident sets of the
+//! [`Strategy::NaivePaper`] oracle, and the plans' ref-based
+//! `count`/`exists` (which never materialise an incident) must agree with
+//! the oracle's answers. Deeper trees than `laws.rs` samples, because the
+//! executor recycles operator batches through its arena at every internal
+//! node — depth is exactly what stresses the recycling.
 
 use proptest::prelude::*;
 
-use wlq::{attrs, Evaluator, Log, LogBuilder, Op, Pattern, Strategy as EvalStrategy};
+use wlq::{attrs, BatchArena, Evaluator, Log, LogBuilder, Op, Pattern, Strategy as EvalStrategy};
 
 const ALPHABET: [&str; 4] = ["A", "B", "C", "D"];
 
@@ -56,20 +57,21 @@ fn arb_log() -> impl Strategy<Value = Log> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// All three strategies compute the same `incL(p)`.
+    /// All three strategies compute the same `incL(p)`: the oracle, the
+    /// plan as written, and the planner's optimized plan.
     #[test]
     fn batch_equals_naive_and_optimized(log in arb_log(), p in arb_pattern()) {
         let naive = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper).evaluate(&p);
-        let optimized = Evaluator::with_strategy(&log, EvalStrategy::Optimized).evaluate(&p);
         let batch = Evaluator::with_strategy(&log, EvalStrategy::Batch).evaluate(&p);
-        prop_assert_eq!(&naive, &optimized, "optimized diverged on {}", &p);
+        let planned = Evaluator::with_strategy(&log, EvalStrategy::Planned).evaluate(&p);
         prop_assert_eq!(&naive, &batch, "batch diverged on {}", &p);
+        prop_assert_eq!(&naive, &planned, "planned diverged on {}", &p);
     }
 
     /// Ref-based counting and existence agree with materialised results.
     #[test]
     fn batch_count_and_exists_need_no_materialisation(log in arb_log(), p in arb_pattern()) {
-        let reference = Evaluator::with_strategy(&log, EvalStrategy::Optimized);
+        let reference = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
         let batch = Evaluator::with_strategy(&log, EvalStrategy::Batch);
         prop_assert_eq!(reference.count(&p), batch.count(&p), "count diverged on {}", &p);
         prop_assert_eq!(reference.exists(&p), batch.exists(&p), "exists diverged on {}", &p);
@@ -81,15 +83,17 @@ proptest! {
         );
     }
 
-    /// Per-instance batch evaluation round-trips through the flat layout:
-    /// the converted incidents equal the classic per-instance evaluation,
+    /// Per-instance plan execution round-trips through the flat layout:
+    /// the converted incidents equal the oracle's per-instance evaluation,
     /// already sorted and deduplicated.
     #[test]
     fn instance_batches_are_finished(log in arb_log(), p in arb_pattern()) {
-        let reference = Evaluator::with_strategy(&log, EvalStrategy::Optimized);
+        let reference = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
         let batch = Evaluator::with_strategy(&log, EvalStrategy::Batch);
+        let plan = batch.physical_plan(&p).unwrap();
+        let mut arena = BatchArena::new();
         for wid in log.wids() {
-            let flat = batch.evaluate_instance_batch(&p, wid);
+            let flat = batch.execute_plan_in(plan.root(), wid, &mut arena);
             flat.debug_check_invariants();
             let incidents = flat.into_incidents();
             prop_assert!(incidents.windows(2).all(|w| w[0] < w[1]), "unfinished batch for {}", &p);
@@ -97,7 +101,7 @@ proptest! {
         }
     }
 
-    /// Parallel batch evaluation (per-worker arenas) equals sequential.
+    /// Parallel plan execution (per-worker arenas) equals sequential.
     #[test]
     fn parallel_batch_workers_agree(log in arb_log(), p in arb_pattern()) {
         let sequential = Evaluator::with_strategy(&log, EvalStrategy::Batch).evaluate(&p);

@@ -90,7 +90,7 @@ fn query_flags_and_modes() {
     let out = wlq(&["simulate", "loan", "10", "3", path_str]);
     assert!(out.status.success(), "{}", stderr(&out));
 
-    // All strategy/optimize/thread combinations agree on the count.
+    // All strategy/thread combinations agree on the count.
     let baseline = stdout(&wlq(&[
         "query",
         path_str,
@@ -99,7 +99,6 @@ fn query_flags_and_modes() {
     ]));
     for flags in [
         vec!["--count", "--naive"],
-        vec!["--count", "--no-optimize"],
         vec!["--count", "--threads", "3"],
     ] {
         let mut args = vec!["query", path_str, "Submit -> CheckCredit"];

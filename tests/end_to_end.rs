@@ -1,5 +1,5 @@
 //! End-to-end pipelines at moderate scale: simulate → serialize → reload
-//! → optimize → evaluate (sequential, parallel, both strategies).
+//! → plan → evaluate (sequential, parallel, every strategy).
 
 use wlq::prelude::*;
 use wlq::{io, scenarios, Optimizer};
@@ -22,18 +22,20 @@ fn battery() -> Vec<Pattern> {
 fn clinic_pipeline_all_paths_agree() {
     let log = simulate(&scenarios::clinic::model(), &SimulationConfig::new(150, 5));
     let naive = Evaluator::with_strategy(&log, Strategy::NaivePaper);
-    let optimized = Evaluator::with_strategy(&log, Strategy::Optimized);
+    let batch = Evaluator::with_strategy(&log, Strategy::Batch);
+    let planned = Evaluator::with_strategy(&log, Strategy::Planned);
     let optimizer = Optimizer::new(LogStats::compute(&log));
     for p in battery() {
-        let reference = optimized.evaluate(&p);
-        assert_eq!(naive.evaluate(&p), reference, "naive vs optimized on {p}");
+        let reference = naive.evaluate(&p);
+        assert_eq!(batch.evaluate(&p), reference, "naive vs batch on {p}");
+        assert_eq!(planned.evaluate(&p), reference, "naive vs planned on {p}");
         let rewritten = optimizer.optimize(&p);
         assert_eq!(
-            optimized.evaluate(&rewritten),
+            batch.evaluate(&rewritten),
             reference,
             "optimizer broke {p} => {rewritten}"
         );
-        let parallel = wlq::evaluate_parallel(&log, &p, 4, Strategy::Optimized).unwrap();
+        let parallel = wlq::evaluate_parallel(&log, &p, 4, Strategy::Batch).unwrap();
         assert_eq!(parallel, reference, "parallel eval on {p}");
     }
 }
@@ -114,20 +116,14 @@ fn query_builder_threads_and_strategies_compose() {
     let q = Query::parse("SeeDoctor -> (UpdateRefer -> GetReimburse)").unwrap();
     let base = q.clone().find(&log).unwrap();
     for threads in [1, 2, 8] {
-        for strategy in [Strategy::NaivePaper, Strategy::Optimized] {
-            for optimize in [true, false] {
-                let got = q
-                    .clone()
-                    .threads(threads)
-                    .strategy(strategy)
-                    .optimize(optimize)
-                    .find(&log)
-                    .unwrap();
-                assert_eq!(
-                    got, base,
-                    "threads={threads} strategy={strategy:?} optimize={optimize}"
-                );
-            }
+        for strategy in [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned] {
+            let got = q
+                .clone()
+                .threads(threads)
+                .strategy(strategy)
+                .find(&log)
+                .unwrap();
+            assert_eq!(got, base, "threads={threads} strategy={strategy:?}");
         }
     }
 }
@@ -140,4 +136,28 @@ fn profile_reports_are_consistent() {
     assert_eq!(profile.incidents, q.find(&log).unwrap());
     // The optimizer factors the shared prefix.
     assert!(profile.plan.contains("GetRefer"));
+}
+
+#[test]
+fn profile_reports_the_plan_that_ran() {
+    let log = simulate(&scenarios::clinic::model(), &SimulationConfig::new(300, 7));
+    let p: Pattern = "GetRefer -> CheckIn -> SeeDoctor -> PayTreatment"
+        .parse()
+        .unwrap();
+    let ran = Evaluator::new(&log)
+        .physical_plan(&p)
+        .unwrap()
+        .pattern()
+        .to_string();
+    let profile = Query::new(p.clone()).profile(&log).unwrap();
+    assert_eq!(profile.plan, ran);
+    // With rewrites off, and under the oracle, the pattern runs as
+    // written.
+    for strategy in [Strategy::Batch, Strategy::NaivePaper] {
+        let profile = Query::new(p.clone())
+            .strategy(strategy)
+            .profile(&log)
+            .unwrap();
+        assert_eq!(profile.plan, p.to_string(), "{strategy:?}");
+    }
 }

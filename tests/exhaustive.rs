@@ -186,10 +186,10 @@ fn exhaustive_strategies_agree_on_depth2() {
     for p in depth2() {
         for log in &logs {
             let naive = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(&p);
-            let optimized = Evaluator::with_strategy(log, Strategy::Optimized).evaluate(&p);
             let batch = Evaluator::with_strategy(log, Strategy::Batch).evaluate(&p);
-            assert_eq!(naive, optimized, "strategy mismatch: {p} on {log}");
+            let planned = Evaluator::with_strategy(log, Strategy::Planned).evaluate(&p);
             assert_eq!(naive, batch, "batch strategy mismatch: {p} on {log}");
+            assert_eq!(naive, planned, "planned strategy mismatch: {p} on {log}");
         }
     }
 }

@@ -52,7 +52,7 @@ fn e2_incident_tree_and_examples_3_5() {
         .parse()
         .unwrap();
     let tree = IncidentTree::from_pattern(&p);
-    let (set, trace) = tree.evaluate_traced(&log, index, Strategy::Optimized);
+    let (set, trace) = tree.evaluate_traced(&log, index, Strategy::Batch);
 
     // Leaf: incL(SeeDoctor) = {l9, l11, l13, l17}.
     let see_doctor = &trace.nodes[0];
@@ -88,9 +88,9 @@ fn all_evaluation_paths_agree() {
     for src in battery {
         let p: Pattern = src.parse().unwrap();
         let a = Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&p);
-        let b = Evaluator::with_strategy(&log, Strategy::Optimized).evaluate(&p);
-        let c = IncidentTree::from_pattern(&p).evaluate(&log, index, Strategy::Optimized);
-        let d = wlq::evaluate_parallel(&log, &p, 3, Strategy::Optimized).unwrap();
+        let b = Evaluator::with_strategy(&log, Strategy::Batch).evaluate(&p);
+        let c = IncidentTree::from_pattern(&p).evaluate(&log, index, Strategy::Batch);
+        let d = wlq::evaluate_parallel(&log, &p, 3, Strategy::Batch).unwrap();
         let e = Query::new(p.clone()).find(&log).unwrap();
         let f = IncidentTree::from_postfix(wlq::to_postfix(&p))
             .unwrap()
@@ -277,11 +277,11 @@ fn mining_and_projections_on_order_scenario() {
     }
     // Explain agrees with plain evaluation under both strategies.
     let p: Pattern = "PlaceOrder -> (Ship & CollectPayment)".parse().unwrap();
-    for strategy in [Strategy::NaivePaper, Strategy::Optimized] {
+    for strategy in [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned] {
         let explain = wlq::Explain::run(&log, &p, true, strategy);
         assert_eq!(explain.incidents, Evaluator::new(&log).evaluate(&p));
     }
-    // find_first returns a bounded subset even with optimization on.
+    // find_first returns a bounded subset of the planned query.
     let q = Query::new(p.clone());
     let some = q.find_first(&log, 7);
     assert_eq!(some.len(), 7);

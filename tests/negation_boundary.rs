@@ -19,7 +19,7 @@ fn figure3() -> Log {
 fn all_strategies(log: &Log, src: &str) -> IncidentSet {
     let p: Pattern = src.parse().unwrap();
     let reference = Evaluator::with_strategy(log, Strategy::NaivePaper).evaluate(&p);
-    for strategy in [Strategy::Optimized, Strategy::Batch] {
+    for strategy in [Strategy::Batch, Strategy::Planned] {
         assert_eq!(
             Evaluator::with_strategy(log, strategy).evaluate(&p),
             reference,
@@ -28,7 +28,7 @@ fn all_strategies(log: &Log, src: &str) -> IncidentSet {
     }
     for threads in [1, 4] {
         assert_eq!(
-            evaluate_parallel(log, &p, threads, Strategy::Optimized).unwrap(),
+            evaluate_parallel(log, &p, threads, Strategy::Batch).unwrap(),
             reference,
             "parallel({threads}) diverged on {src}"
         );

@@ -4,11 +4,16 @@
 //! planner enumerates (Theorems 2–5) must evaluate to exactly the same
 //! `incL(p)` as the original pattern, and the chosen physical plan — with
 //! its per-node operator selection and `count`/`exists` routing — must
-//! agree with the paper-faithful naive evaluation.
+//! agree with the paper-faithful naive evaluation. The planner searches
+//! the rewrites of the optimizer's reshape too, so no plan is costlier
+//! by its own estimate than planning that reshape as written.
 
 use proptest::prelude::*;
 
-use wlq::{attrs, Evaluator, Log, LogBuilder, Op, Pattern, Planner, Strategy as EvalStrategy};
+use wlq::{
+    attrs, Evaluator, Log, LogBuilder, LogStats, Op, Optimizer, Pattern, Planner,
+    Strategy as EvalStrategy,
+};
 
 const ALPHABET: [&str; 4] = ["A", "B", "C", "D"];
 
@@ -92,5 +97,45 @@ proptest! {
             "planned exists diverged on {}",
             &p
         );
+    }
+
+    /// The planner's search space covers the optimizer's reshape: the
+    /// chosen plan costs no more, by the planner's own estimate, than any
+    /// candidate rewrite of `optimize(p)` planned as written.
+    #[test]
+    fn plan_is_no_costlier_than_any_rewrite_of_the_reshape(log in arb_log(), p in arb_pattern()) {
+        let planner = Planner::from_log(&log);
+        let optimizer = Optimizer::new(LogStats::compute(&log));
+        let chosen = planner.plan(&p).cost();
+        for c in planner.candidates(&optimizer.optimize(&p)) {
+            let alternative = planner.plan_as_written(&c.pattern).cost();
+            prop_assert!(
+                chosen <= alternative,
+                "plan of {} costs {} > {} for {} ({})",
+                &p, chosen, alternative, &c.pattern, c.rule
+            );
+        }
+    }
+
+    /// The two physical strategies and the oracle agree on every entry
+    /// point.
+    #[test]
+    fn batch_planned_and_naive_agree(log in arb_log(), p in arb_pattern()) {
+        let naive = Evaluator::with_strategy(&log, EvalStrategy::NaivePaper);
+        let expected = naive.evaluate(&p);
+        prop_assert_eq!(expected.len(), naive.count(&p));
+        prop_assert_eq!(!expected.is_empty(), naive.exists(&p));
+        for strategy in [EvalStrategy::Batch, EvalStrategy::Planned] {
+            let eval = Evaluator::with_strategy(&log, strategy);
+            prop_assert_eq!(&expected, &eval.evaluate(&p), "{:?} evaluate on {}", strategy, &p);
+            prop_assert_eq!(expected.len(), eval.count(&p), "{:?} count on {}", strategy, &p);
+            prop_assert_eq!(
+                !expected.is_empty(),
+                eval.exists(&p),
+                "{:?} exists on {}",
+                strategy,
+                &p
+            );
+        }
     }
 }

@@ -20,12 +20,7 @@ fn parse(src: &str) -> Pattern {
     src.parse().unwrap()
 }
 
-const ALL_STRATEGIES: [Strategy; 4] = [
-    Strategy::NaivePaper,
-    Strategy::Optimized,
-    Strategy::Batch,
-    Strategy::Planned,
-];
+const ALL_STRATEGIES: [Strategy; 3] = [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned];
 
 // ---------------------------------------------------------------------
 // Golden human-readable profile (`wlq explain --analyze`)
@@ -81,8 +76,10 @@ fn golden_analyze_table_for_figure3() {
     assert!(lines[9].starts_with("total    : 1 incident(s) in"));
 }
 
-/// Non-planned strategies still get a cost-model estimate per node (so
-/// the Q-error column is populated) but no cost — and no plan rule.
+/// Both physical strategies report the plan's estimates and costs (Batch
+/// under the rule `original`); the oracle still gets a cost-model
+/// estimate per node (so the Q-error column is populated) but no cost —
+/// and no plan rule.
 #[test]
 fn analyze_works_for_every_strategy() {
     let log = figure3();
@@ -92,12 +89,16 @@ fn analyze_works_for_every_strategy() {
         assert_eq!(set, Evaluator::with_strategy(&log, strategy).evaluate(&p));
         assert_eq!(profile.nodes.len(), 5, "{strategy:?}");
         assert!(profile.nodes.iter().all(|n| n.shape.estimate.is_some()));
-        if strategy == Strategy::Planned {
-            assert!(profile.rule.is_some());
-            assert!(profile.nodes.iter().all(|n| n.shape.cost.is_some()));
-        } else {
+        if strategy == Strategy::NaivePaper {
             assert!(profile.rule.is_none());
             assert!(profile.nodes.iter().all(|n| n.shape.cost.is_none()));
+        } else {
+            assert!(profile.rule.is_some());
+            assert!(profile.nodes.iter().all(|n| n.shape.cost.is_some()));
+        }
+        if strategy == Strategy::Batch {
+            assert_eq!(profile.rule.as_deref(), Some("original"));
+            assert_eq!(profile.plan, p.to_string());
         }
     }
 }
