@@ -314,25 +314,29 @@ impl IncidentBatch {
         batch
     }
 
-    /// Converts to the classic representation, preserving order, and
-    /// clears the batch so its allocations can be recycled.
-    pub fn drain_incidents(&mut self) -> Vec<Incident> {
-        let out = self
-            .refs
+    /// Converts to the classic representation, preserving order.
+    #[must_use]
+    pub fn to_incidents(&self) -> Vec<Incident> {
+        self.refs
             .iter()
             .map(|r| {
                 Incident::from_sorted_positions_unchecked(self.wid, self.pool[r.range()].to_vec())
             })
-            .collect();
-        let wid = self.wid;
-        self.reset(wid);
+            .collect()
+    }
+
+    /// Converts to the classic representation, preserving order, and
+    /// clears the batch so its allocations can be recycled.
+    pub fn drain_incidents(&mut self) -> Vec<Incident> {
+        let out = self.to_incidents();
+        self.reset(self.wid);
         out
     }
 
     /// Converts to the classic representation, preserving order.
     #[must_use]
-    pub fn into_incidents(mut self) -> Vec<Incident> {
-        self.drain_incidents()
+    pub fn into_incidents(self) -> Vec<Incident> {
+        self.to_incidents()
     }
 
     /// Compares two refs of *this* batch in incident order: by the cached

@@ -41,8 +41,9 @@ pub enum Strategy {
 /// [`Strategy::NaivePaper`] runs the paper's Algorithm 1 operators; the
 /// other strategies convert to [`IncidentBatch`]es and run the batch
 /// kernels. Both produce the same sorted, deduplicated output. Callers
-/// holding classic incident lists (incident trees, streaming deltas) come
-/// through here; the evaluator's own executor stays flat end to end.
+/// holding classic incident lists (incident trees) come through here; the
+/// evaluator's own executor and the streaming evaluator stay flat end to
+/// end.
 #[must_use]
 pub fn combine(strategy: Strategy, op: Op, left: &[Incident], right: &[Incident]) -> Vec<Incident> {
     match (strategy, op) {

@@ -2,147 +2,92 @@
 //!
 //! Workflow logs only ever grow, and the paper motivates log querying for
 //! *runtime* monitoring as well as post-hoc analysis. The
-//! [`StreamingEvaluator`] maintains, for every node of the incident tree,
-//! the incidents seen so far, and updates them per appended record using
-//! the delta rule
+//! [`StreamingEvaluator`] keeps, for every open workflow instance and
+//! every node of the pattern's incident tree, the incidents seen so far
+//! as one [`IncidentBatch`], and on each appended record computes only
+//! the *new* incidents (the delta) bottom-up with the batch kernels.
+//!
+//! **Exact delta rule.** A valid append to instance `w` carries the
+//! position `p = next is-lsn of w`, larger than every stored position of
+//! `w`, and an incident of the grown instance that misses `p` is an
+//! incident of the old one; so every delta incident contains `p`. With
+//! `old` the incidents before the append and `Δ` the new ones:
 //!
 //! ```text
-//! Δ(p1 θ p2) = (Δ1 θ old2) ∪ ((old1 ∪ Δ1) θ Δ2)
+//! Δ(p1 ⊙ p2) = old1 ⊙ Δ2        Δ(p1 → p2) = old1 → Δ2
+//! Δ(p1 ⊕ p2) = (Δ1 ⊕ old2) ∪ (old1 ⊕ Δ2)
+//! Δ(p1 ⊗ p2) = Δ1 ∪ Δ2
 //! ```
 //!
-//! which enumerates exactly the new pairs. Appends are `O(delta work)`
-//! instead of re-evaluating the whole log, and the evaluator reports the
+//! Proof in one line: `⊙`/`→` pair `o1` with an `o2` that lies wholly
+//! after it, which `p ∈ o1` rules out for every `o2` (old ones lie before
+//! `p`, new ones contain it), and `⊕` pairs must be disjoint, which two
+//! incidents both containing `p` are not. The old incidents never contain
+//! `p`, so a node absorbs its delta by a sorted merge of two disjoint
+//! batches, and the deltas of successive appends partition the final
+//! answer.
+//!
+//! Each append costs one hash lookup for its instance plus kernel and
+//! merge work on that instance's batches alone; a node whose children
+//! both have empty deltas does nothing. When an instance ends, no later record can reach
+//! it, so only its root incidents are kept. The evaluator reports the
 //! *new root incidents* per append — a monitoring callback can alert the
 //! moment an anomalous pattern completes.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use parking_lot::Mutex;
 use wlq_log::{IsLsn, LogError, LogRecord, Wid};
 use wlq_pattern::{Atom, Op, Pattern};
 
+use crate::batch::IncidentBatch;
 use crate::error::EngineError;
-use crate::eval::{combine, Strategy};
 use crate::incident::Incident;
-use crate::incident_set::{merge_sorted, IncidentSet};
+use crate::incident_set::IncidentSet;
+use crate::kernels::{choice_kernel, combine_batch_into};
 
-/// A node of the streaming incident tree, holding accumulated incidents.
+/// One node of the flattened incident tree. Children precede their parent,
+/// so the root is the last node.
 #[derive(Debug, Clone)]
-enum SNode {
-    Leaf {
-        atom: Atom,
-        incidents: BTreeMap<Wid, Vec<Incident>>,
-    },
-    Op {
-        op: Op,
-        left: Box<SNode>,
-        right: Box<SNode>,
-        incidents: BTreeMap<Wid, Vec<Incident>>,
-    },
+enum Node {
+    Leaf(Atom),
+    Op { op: Op, left: usize, right: usize },
 }
 
-impl SNode {
-    fn from_pattern(p: &Pattern) -> SNode {
-        match p {
-            Pattern::Atom(a) => SNode::Leaf {
-                atom: a.clone(),
-                incidents: BTreeMap::new(),
-            },
-            Pattern::Binary { op, left, right } => SNode::Op {
-                op: *op,
-                left: Box::new(SNode::from_pattern(left)),
-                right: Box::new(SNode::from_pattern(right)),
-                incidents: BTreeMap::new(),
-            },
-        }
-    }
+/// Appends `p`'s nodes to `nodes` in post-order, returning the index of
+/// `p`'s root.
+fn flatten(p: &Pattern, nodes: &mut Vec<Node>) -> usize {
+    let node = match p {
+        Pattern::Atom(atom) => Node::Leaf(atom.clone()),
+        Pattern::Binary { op, left, right } => Node::Op {
+            op: *op,
+            left: flatten(left, nodes),
+            right: flatten(right, nodes),
+        },
+    };
+    nodes.push(node);
+    nodes.len() - 1
+}
 
-    fn incidents(&self, wid: Wid) -> &[Incident] {
-        let map = match self {
-            SNode::Leaf { incidents, .. } | SNode::Op { incidents, .. } => incidents,
-        };
-        map.get(&wid).map_or(&[], Vec::as_slice)
-    }
+/// Whether `record` is an incident of the atomic pattern `atom`.
+fn admits(atom: &Atom, record: &LogRecord) -> bool {
+    (record.activity() == &atom.activity) != atom.negated
+        && atom
+            .predicates
+            .iter()
+            .all(|p| p.matches(record.input(), record.output()))
+}
 
-    fn incidents_map(&self) -> &BTreeMap<Wid, Vec<Incident>> {
-        match self {
-            SNode::Leaf { incidents, .. } | SNode::Op { incidents, .. } => incidents,
-        }
-    }
-
-    /// Absorbs `delta` into this node's incident list for `wid`, returning
-    /// only the incidents that were actually new.
-    fn absorb(&mut self, wid: Wid, delta: Vec<Incident>) -> Vec<Incident> {
-        let map = match self {
-            SNode::Leaf { incidents, .. } | SNode::Op { incidents, .. } => incidents,
-        };
-        let list = map.entry(wid).or_default();
-        let mut fresh = Vec::with_capacity(delta.len());
-        for incident in delta {
-            if let Err(pos) = list.binary_search(&incident) {
-                list.insert(pos, incident.clone());
-                fresh.push(incident);
-            }
-        }
-        fresh
-    }
-
-    /// Processes one appended record, returning this node's new incidents.
-    fn push(&mut self, record: &LogRecord, strategy: Strategy) -> Vec<Incident> {
-        let wid = record.wid();
-        match self {
-            SNode::Leaf { atom, .. } => {
-                let matches_activity = if atom.negated {
-                    record.activity() != &atom.activity
-                } else {
-                    record.activity() == &atom.activity
-                };
-                let matches = matches_activity
-                    && atom
-                        .predicates
-                        .iter()
-                        .all(|p| p.matches(record.input(), record.output()));
-                if matches {
-                    let delta = vec![Incident::singleton(wid, record.is_lsn())];
-                    self.absorb(wid, delta)
-                } else {
-                    Vec::new()
-                }
-            }
-            SNode::Op {
-                op, left, right, ..
-            } => {
-                let op = *op;
-                // Snapshot the left side *before* the record is applied.
-                let old_left: Vec<Incident> = left.incidents(wid).to_vec();
-                let delta_left = left.push(record, strategy);
-                let delta_right = right.push(record, strategy);
-                // Every term below is sorted and deduplicated (leaf
-                // emission appends in is-lsn order, operators finish
-                // sorted), so deltas union by linear merge.
-                let delta = match op {
-                    Op::Choice => merge_sorted(delta_left, delta_right),
-                    _ => {
-                        // New pairs: (Δ1 × old2) ∪ ((old1 ∪ Δ1) × Δ2).
-                        let old_right: Vec<Incident> = {
-                            // right already absorbed its delta; exclude it
-                            // for the first term to avoid double counting.
-                            let full = right.incidents(wid);
-                            full.iter()
-                                .filter(|o| delta_right.binary_search(o).is_err())
-                                .cloned()
-                                .collect()
-                        };
-                        let first = combine(strategy, op, &delta_left, &old_right);
-                        let new_left = merge_sorted(old_left, delta_left);
-                        let second = combine(strategy, op, &new_left, &delta_right);
-                        merge_sorted(first, second)
-                    }
-                };
-                self.absorb(wid, delta)
-            }
-        }
-    }
+/// Everything the evaluator keeps about one workflow instance.
+#[derive(Debug, Clone)]
+struct Instance {
+    /// The is-lsn the instance's next record must carry.
+    next: IsLsn,
+    /// Whether the instance has seen its `END` record.
+    closed: bool,
+    /// The incidents found so far, one batch per node in post-order. Once
+    /// the instance is closed only the root's batch is kept.
+    nodes: Vec<IncidentBatch>,
 }
 
 /// Evaluates a pattern incrementally over an append-only record stream.
@@ -165,31 +110,28 @@ impl SNode {
 #[derive(Debug, Clone)]
 pub struct StreamingEvaluator {
     pattern: Pattern,
-    strategy: Strategy,
-    root: SNode,
-    next_is_lsn: BTreeMap<Wid, IsLsn>,
-    closed: BTreeMap<Wid, bool>,
+    nodes: Vec<Node>,
+    instances: HashMap<Wid, Instance>,
+    /// Per-node deltas of the current append, reused across appends.
+    deltas: Vec<IncidentBatch>,
+    /// Scratch batches for the two `⊕` delta terms and for absorbing.
+    scratch: [IncidentBatch; 2],
     records_seen: usize,
 }
 
 impl StreamingEvaluator {
-    /// Creates a streaming evaluator for `pattern` with the default
-    /// ([`Strategy::Planned`]) operator implementations.
+    /// Creates a streaming evaluator for `pattern`.
     #[must_use]
     pub fn new(pattern: Pattern) -> Self {
-        Self::with_strategy(pattern, Strategy::default())
-    }
-
-    /// Creates a streaming evaluator with an explicit strategy.
-    #[must_use]
-    pub fn with_strategy(pattern: Pattern, strategy: Strategy) -> Self {
-        let root = SNode::from_pattern(&pattern);
+        let mut nodes = Vec::new();
+        flatten(&pattern, &mut nodes);
+        let empty = IncidentBatch::new(Wid(0));
         StreamingEvaluator {
             pattern,
-            strategy,
-            root,
-            next_is_lsn: BTreeMap::new(),
-            closed: BTreeMap::new(),
+            deltas: vec![empty.clone(); nodes.len()],
+            nodes,
+            instances: HashMap::new(),
+            scratch: [empty.clone(), empty],
             records_seen: 0,
         }
     }
@@ -212,38 +154,82 @@ impl StreamingEvaluator {
     ///
     /// Returns [`EngineError::InvalidLog`] if the record violates the
     /// per-instance ordering invariants of Definition 2 (non-consecutive
-    /// `is-lsn`, record after `END`, or a non-`START` first record).
+    /// `is-lsn`, record after `END`, or a non-`START` first record). A
+    /// rejected record leaves the evaluator unchanged.
     pub fn append(&mut self, record: &LogRecord) -> Result<Vec<Incident>, EngineError> {
         let wid = record.wid();
-        if self.closed.get(&wid).copied().unwrap_or(false) {
-            return Err(LogError::RecordAfterEnd {
-                wid,
-                lsn: record.lsn(),
+        // `entry` would reserve room for a vacant key before the checks,
+        // so a new instance is inserted only once its record is accepted.
+        let instance = match self.instances.get_mut(&wid) {
+            Some(instance) => {
+                check_order(record, instance.closed, instance.next)?;
+                instance
             }
-            .into());
-        }
-        let expected = self.next_is_lsn.get(&wid).copied().unwrap_or(IsLsn::FIRST);
-        if record.is_lsn() != expected {
-            return Err(LogError::NonConsecutiveIsLsn {
-                wid,
-                expected,
-                found: record.is_lsn(),
+            None => {
+                check_order(record, false, IsLsn::FIRST)?;
+                self.instances.entry(wid).or_insert(Instance {
+                    next: IsLsn::FIRST,
+                    closed: false,
+                    nodes: vec![IncidentBatch::new(wid); self.nodes.len()],
+                })
             }
-            .into());
-        }
-        if (record.is_lsn() == IsLsn::FIRST) != record.is_start() {
-            return Err(LogError::StartMismatch {
-                lsn: record.lsn(),
-                wid,
-            }
-            .into());
-        }
-        self.next_is_lsn.insert(wid, expected.next());
-        if record.is_end() {
-            self.closed.insert(wid, true);
-        }
+        };
+        instance.next = record.is_lsn().next();
+        instance.closed = record.is_end();
         self.records_seen += 1;
-        Ok(self.root.push(record, self.strategy))
+
+        let [left_term, right_term] = &mut self.scratch;
+        for (i, node) in self.nodes.iter().enumerate() {
+            let (below, rest) = self.deltas.split_at_mut(i);
+            let delta = &mut rest[0];
+            delta.reset(wid);
+            match *node {
+                Node::Leaf(ref atom) => {
+                    if admits(atom, record) {
+                        delta.push_singleton(record.is_lsn());
+                    }
+                }
+                Node::Op { op, left, right } => {
+                    let (d1, d2) = (&below[left], &below[right]);
+                    if d1.is_empty() && d2.is_empty() {
+                        continue;
+                    }
+                    let (old1, old2) = (&instance.nodes[left], &instance.nodes[right]);
+                    match op {
+                        Op::Consecutive | Op::Sequential => combine_batch_into(op, old1, d2, delta),
+                        Op::Choice => choice_kernel(d1, d2, delta),
+                        Op::Parallel => {
+                            combine_batch_into(op, d1, old2, left_term);
+                            combine_batch_into(op, old1, d2, right_term);
+                            choice_kernel(left_term, right_term, delta);
+                        }
+                    }
+                }
+            }
+        }
+
+        // A closed instance keeps only its root, so only the root absorbs.
+        let first_kept = if instance.closed {
+            self.nodes.len() - 1
+        } else {
+            0
+        };
+        for (state, delta) in instance.nodes.iter_mut().zip(&self.deltas).skip(first_kept) {
+            if delta.is_empty() {
+                continue;
+            }
+            left_term.reset(wid);
+            choice_kernel(state, delta, left_term);
+            std::mem::swap(state, left_term);
+        }
+        if instance.closed {
+            instance.nodes.drain(..first_kept);
+            instance.nodes.shrink_to_fit();
+        }
+        Ok(self
+            .deltas
+            .last_mut()
+            .map_or_else(Vec::new, IncidentBatch::drain_incidents))
     }
 
     /// The full incident set accumulated so far (equals a batch evaluation
@@ -251,12 +237,38 @@ impl StreamingEvaluator {
     #[must_use]
     pub fn incidents(&self) -> IncidentSet {
         IncidentSet::from_partitions(
-            self.root
-                .incidents_map()
+            self.instances
                 .iter()
-                .map(|(w, v)| (*w, v.clone())),
+                .filter_map(|(&wid, instance)| Some((wid, instance.nodes.last()?.to_incidents()))),
         )
     }
+}
+
+/// Definition 2's per-instance ordering checks for `record`, given its
+/// instance's state: not after `END`, consecutive is-lsn, and `START`
+/// exactly at is-lsn 1.
+fn check_order(record: &LogRecord, closed: bool, expected: IsLsn) -> Result<(), LogError> {
+    let wid = record.wid();
+    if closed {
+        return Err(LogError::RecordAfterEnd {
+            wid,
+            lsn: record.lsn(),
+        });
+    }
+    if record.is_lsn() != expected {
+        return Err(LogError::NonConsecutiveIsLsn {
+            wid,
+            expected,
+            found: record.is_lsn(),
+        });
+    }
+    if (record.is_lsn() == IsLsn::FIRST) != record.is_start() {
+        return Err(LogError::StartMismatch {
+            lsn: record.lsn(),
+            wid,
+        });
+    }
+    Ok(())
 }
 
 /// A thread-safe wrapper around [`StreamingEvaluator`] for concurrent
@@ -301,8 +313,8 @@ impl SharedStreamingEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Evaluator;
-    use wlq_log::paper;
+    use crate::eval::{Evaluator, Strategy};
+    use wlq_log::{paper, Lsn};
 
     fn parse(s: &str) -> Pattern {
         s.parse().unwrap()
@@ -344,23 +356,33 @@ mod tests {
         }
     }
 
+    /// Each append's delta is exactly what the oracle's answer gains on
+    /// that record (`NaivePaper(prefix i) \ NaivePaper(prefix i-1)`), and
+    /// the accumulated set is the oracle's answer on the whole log.
     #[test]
     fn all_strategies_stream_identically() {
         let log = paper::figure3_log();
         for src in [
             "SeeDoctor ~> PayTreatment",
             "GetRefer -> (SeeDoctor & PayTreatment)",
+            "(SeeDoctor | !CheckIn) & (GetRefer -> !SeeDoctor)",
         ] {
-            let mut sets = Vec::new();
-            for strategy in [Strategy::NaivePaper, Strategy::Batch, Strategy::Planned] {
-                let mut stream = StreamingEvaluator::with_strategy(parse(src), strategy);
-                for record in log.iter() {
-                    stream.append(record).unwrap();
-                }
-                sets.push(stream.incidents());
+            let p = parse(src);
+            let mut stream = StreamingEvaluator::new(p.clone());
+            let mut before = IncidentSet::new();
+            for (i, record) in log.iter().enumerate() {
+                let delta = stream.append(record).unwrap();
+                let prefix = log.prefix(Lsn(i as u64 + 1)).unwrap();
+                let after = Evaluator::with_strategy(&prefix, Strategy::NaivePaper).evaluate(&p);
+                let gained: Vec<Incident> = after
+                    .iter()
+                    .filter(|o| !before.contains(o))
+                    .cloned()
+                    .collect();
+                assert_eq!(delta, gained, "delta of l{} on {src}", i + 1);
+                before = after;
             }
-            assert_eq!(sets[0], sets[1], "batch streaming mismatch on {src}");
-            assert_eq!(sets[0], sets[2], "planned streaming mismatch on {src}");
+            assert_eq!(stream.incidents(), before, "accumulated mismatch on {src}");
         }
     }
 
@@ -435,6 +457,86 @@ mod tests {
             stream.append(&bad).unwrap_err(),
             EngineError::InvalidLog(LogError::StartMismatch { .. })
         ));
+    }
+
+    /// A record that breaks Definition 2 leaves every part of the
+    /// evaluator as it was, including after `END` freed an instance's
+    /// inner nodes, and the valid records around it still add up to the
+    /// oracle's answer.
+    #[test]
+    fn rejected_appends_change_nothing() {
+        let mut b = wlq_log::LogBuilder::new();
+        let (w1, w2) = (b.start_instance(), b.start_instance());
+        for (wid, activity) in [
+            (w1, "CheckIn"),
+            (w2, "SeeDoctor"),
+            (w1, "SeeDoctor"),
+            (w2, "CheckIn"),
+            (w1, "PayTreatment"),
+            (w2, "PayTreatment"),
+            (w1, "SeeDoctor"),
+        ] {
+            b.append(wid, activity, Default::default(), Default::default())
+                .unwrap();
+        }
+        b.end_instance(w1).unwrap();
+        b.append(w2, "SeeDoctor", Default::default(), Default::default())
+            .unwrap();
+        let log = b.build().unwrap();
+        let p = parse("(CheckIn | !SeeDoctor) -> (SeeDoctor & PayTreatment)");
+        let mut stream = StreamingEvaluator::new(p.clone());
+        let bad = |wid: Wid, is_lsn: u32| {
+            LogRecord::new(
+                999u64,
+                wid,
+                is_lsn,
+                "SeeDoctor",
+                Default::default(),
+                Default::default(),
+            )
+        };
+        let reject = |stream: &mut StreamingEvaluator, record: &LogRecord| {
+            let (state, incidents) = (format!("{stream:?}"), stream.incidents());
+            let err = stream.append(record).unwrap_err();
+            assert_eq!(format!("{stream:?}"), state, "{err} changed the state");
+            assert_eq!(stream.incidents(), incidents);
+            err
+        };
+        let mut deltas = IncidentSet::new();
+        let mut ends = 0;
+        for (i, record) in log.iter().enumerate() {
+            let err = reject(&mut stream, &bad(Wid(99), 1));
+            assert!(matches!(
+                err,
+                EngineError::InvalidLog(LogError::StartMismatch { .. })
+            ));
+            for incident in stream.append(record).unwrap() {
+                assert!(deltas.insert(incident));
+            }
+            assert_eq!(stream.records_seen(), i + 1);
+            let wid = record.wid();
+            let next = record.is_lsn().get() + 1;
+            if record.is_end() {
+                ends += 1;
+                assert_eq!(stream.instances[&wid].nodes.len(), 1, "inner state kept");
+                let err = reject(&mut stream, &bad(wid, next));
+                assert!(matches!(
+                    err,
+                    EngineError::InvalidLog(LogError::RecordAfterEnd { .. })
+                ));
+            } else {
+                let err = reject(&mut stream, &bad(wid, next + 1));
+                assert!(matches!(
+                    err,
+                    EngineError::InvalidLog(LogError::NonConsecutiveIsLsn { .. })
+                ));
+            }
+        }
+        assert_eq!(ends, 1);
+        let expected = Evaluator::with_strategy(&log, Strategy::NaivePaper).evaluate(&p);
+        assert!(!expected.is_empty());
+        assert_eq!(stream.incidents(), expected);
+        assert_eq!(deltas, expected);
     }
 
     #[test]

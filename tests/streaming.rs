@@ -6,7 +6,7 @@ use proptest::prelude::{
 };
 
 use wlq::prelude::*;
-use wlq::{attrs, scenarios, LogBuilder, Strategy as EvalStrategy};
+use wlq::{attrs, scenarios, LogBuilder, Lsn, Strategy as EvalStrategy};
 
 const ALPHABET: [&str; 3] = ["A", "B", "C"];
 
@@ -67,18 +67,27 @@ proptest! {
         prop_assert_eq!(delta_union, batch);
     }
 
-    /// Both strategies drive the streaming evaluator identically.
+    /// Each append's delta is exactly what the oracle's answer gains on
+    /// that record, `NaivePaper(prefix i) \ NaivePaper(prefix i-1)`, and
+    /// the accumulated set is the oracle's answer on the whole log.
     #[test]
     fn streaming_strategies_agree(log in arb_log(), p in arb_pattern()) {
-        let mut a = StreamingEvaluator::with_strategy(p.clone(), EvalStrategy::NaivePaper);
-        let mut b = StreamingEvaluator::with_strategy(p, EvalStrategy::Batch);
-        for record in log.iter() {
-            let da = a.append(record).unwrap();
-            let db = b.append(record).unwrap();
-            prop_assert_eq!(da, db);
+        let mut stream = StreamingEvaluator::new(p.clone());
+        let mut before = IncidentSet::new();
+        for (i, record) in log.iter().enumerate() {
+            let delta = stream.append(record).unwrap();
+            let after = naive(&log.prefix(Lsn(i as u64 + 1)).unwrap(), &p);
+            let gained: Vec<Incident> =
+                after.iter().filter(|o| !before.contains(o)).cloned().collect();
+            prop_assert_eq!(delta, gained);
+            before = after;
         }
-        prop_assert_eq!(a.incidents(), b.incidents());
+        prop_assert_eq!(stream.incidents(), naive(&log, &p));
     }
+}
+
+fn naive(log: &Log, p: &Pattern) -> IncidentSet {
+    Evaluator::with_strategy(log, EvalStrategy::NaivePaper).evaluate(p)
 }
 
 #[test]
@@ -99,6 +108,33 @@ fn streaming_matches_batch_on_scenarios() {
             let batch = Evaluator::new(&log).evaluate(&p);
             assert_eq!(stream.incidents(), batch, "{} on {}", src, model.name());
         }
+    }
+}
+
+/// A clinic log cut mid-run holds closed instances, whose inner node
+/// state the evaluator has freed at `END`, beside open ones; the answer
+/// over both is the oracle's.
+#[test]
+fn freeing_closed_instances_keeps_answers() {
+    let log = simulate(&scenarios::clinic::model(), &SimulationConfig::new(60, 21));
+    let cut = log.prefix(Lsn(log.len() as u64 / 2)).unwrap();
+    let ended = cut.iter().filter(|r| r.is_end()).count();
+    assert!(ended > 0 && ended < cut.num_instances(), "{ended} ended");
+    for src in [
+        "CheckIn ~> SeeDoctor",
+        "GetRefer -> (SeeDoctor -> GetReimburse)",
+        "(PayTreatment | TakeTreatment) ~> !UpdateRefer",
+        "CheckIn & (SeeDoctor | !PayTreatment)",
+        "!START -> END",
+    ] {
+        let p: Pattern = src.parse().unwrap();
+        let mut stream = StreamingEvaluator::new(p.clone());
+        for record in cut.iter() {
+            stream.append(record).unwrap();
+        }
+        let expected = naive(&cut, &p);
+        assert!(!expected.is_empty(), "{src} finds nothing");
+        assert_eq!(stream.incidents(), expected, "{src}");
     }
 }
 
