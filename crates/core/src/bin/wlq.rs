@@ -46,7 +46,7 @@ use std::process::ExitCode;
 use wlq::{
     denies, io, mine_relations, profile_evaluation, render_human, render_json, render_parse_error,
     render_trace, scenarios, simulate, validate_trace, Analyzer, EngineError, ExecutionProfile,
-    Explain, Log, LogStats, Pattern, Query, SimulationConfig, Strategy, WorkflowModel,
+    Explain, Log, LogStats, Pattern, Planner, Query, SimulationConfig, Strategy, WorkflowModel,
 };
 
 /// A CLI failure, categorised for its exit code.
@@ -421,9 +421,8 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            // --plan: run under the cost-based planner and print the
-            // chosen physical operator tree alongside the
-            // estimate/actual table.
+            // --plan: print the cost-based planner's chosen physical
+            // operator tree, without running it.
             "--plan" => plan = true,
             // --analyze: actually execute the plan and print per-node
             // actuals (rows, pairs, bytes, wall time) next to the
@@ -477,12 +476,20 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
         }
         return Ok(());
     }
-    let strategy = if plan {
-        Strategy::Planned
-    } else {
-        Strategy::Batch
-    };
-    let explain = Explain::run(&log, &pattern, true, strategy);
+    if plan {
+        // The plan alone: an actuals table here would show the tree as
+        // written, which is not the tree that runs; --analyze runs this
+        // plan and reports its nodes.
+        let physical = Planner::new(&log, log.index()).plan(&pattern);
+        println!("query: {pattern}");
+        println!("physical plan:");
+        for line in physical.to_string().lines() {
+            println!("  {line}");
+        }
+        println!("per-node actuals of this plan: rerun with --analyze");
+        return Ok(());
+    }
+    let explain = Explain::run(&log, &pattern, true, Strategy::Batch);
     print!("{explain}");
     Ok(())
 }

@@ -178,9 +178,10 @@ pub fn check(log: &Log, pattern: &Pattern) -> Option<Divergence> {
 }
 
 /// Writes `log` as text and as binary, reads each back, and checks that
-/// the log read back is equal and that its index (built by the reader's
-/// `Log::new`) gives the reference answer under the paper's Algorithm 1
-/// and under the planner.
+/// the log read back gives the reference answer under the paper's
+/// Algorithm 1 and under the planner, and that it is equal. The answers
+/// come first, so that predicate leaves read attribute maps the reader
+/// left encoded, not maps a comparison decoded.
 fn check_round_trips(log: &Log, pattern: &Pattern, reference: &IncidentSet) -> Option<Divergence> {
     let round_trips = [
         ("text", io::text::read_text(&io::text::write_text(log))),
@@ -196,8 +197,7 @@ fn check_round_trips(log: &Log, pattern: &Pattern, reference: &IncidentSet) -> O
             got,
         };
         let back = match read_back {
-            Ok(back) if &back == log => back,
-            Ok(back) => return Some(diverged("read", format!("a different log: {back}"))),
+            Ok(back) => back,
             Err(e) => return Some(diverged("read", format!("error: {e}"))),
         };
         for strategy in [Strategy::NaivePaper, Strategy::Planned] {
@@ -212,6 +212,9 @@ fn check_round_trips(log: &Log, pattern: &Pattern, reference: &IncidentSet) -> O
                     format!("{} (count only)", eval.count(pattern)),
                 ));
             }
+        }
+        if &back != log {
+            return Some(diverged("read", format!("a different log: {back}")));
         }
     }
     None

@@ -4,7 +4,7 @@
 use rand::{rngs::StdRng, Rng};
 
 use wlq_log::{attrs, Activity, AttrMap, Log, LogBuilder, LogRecord};
-use wlq_pattern::{Op, Pattern, PatternGenConfig};
+use wlq_pattern::{CmpOp, Op, Pattern, PatternGenConfig, Predicate, Scope};
 
 /// The activity alphabet used by generated logs and patterns, `T0..Tk`.
 #[must_use]
@@ -14,8 +14,8 @@ pub fn alphabet(size: usize) -> Vec<String> {
 
 /// Generates a random valid log: 1–6 interleaved instances, each with a
 /// random trace over a small alphabet, some instances closed by `END`
-/// and some left running, occasional integer attributes so predicates
-/// have something to look at.
+/// and some left running, occasional `balance` inputs and outputs so
+/// predicates have something to look at.
 ///
 /// The builder maintains Definition 2 by construction, so the result is
 /// valid for any random choices.
@@ -40,13 +40,15 @@ pub fn random_log(rng: &mut StdRng) -> Log {
             continue;
         }
         let name = &names[rng.gen_range(0..names.len())];
-        let output = if rng.gen_bool(0.3) {
-            let balance: i64 = rng.gen_range(0..10_000i64);
-            attrs! { "balance" => balance }
-        } else {
-            AttrMap::new()
+        let balance = |rng: &mut StdRng| {
+            if rng.gen_bool(0.3) {
+                attrs! { "balance" => rng.gen_range(0..10_000i64) }
+            } else {
+                AttrMap::new()
+            }
         };
-        b.append(wid, name.as_str(), AttrMap::new(), output)
+        let (input, output) = (balance(rng), balance(rng));
+        b.append(wid, name.as_str(), input, output)
             .expect("instance is open");
     }
     b.build().expect("builder wrote at least the START records")
@@ -54,6 +56,8 @@ pub fn random_log(rng: &mut StdRng) -> Log {
 
 /// Generates a random pattern over `log`'s alphabet (plus one activity
 /// the log never executes, so "no match" and `¬t` cases are exercised).
+/// Some atoms carry a predicate on `balance` or on an attribute no
+/// record has.
 pub fn random_pattern_for(rng: &mut StdRng, log: &Log) -> Pattern {
     let mut names: Vec<String> = log
         .activities()
@@ -74,7 +78,36 @@ pub fn random_pattern_for(rng: &mut StdRng, log: &Log) -> Pattern {
         negation_prob: 0.25,
         ops: vec![Op::Consecutive, Op::Sequential, Op::Choice, Op::Parallel],
     };
-    wlq_pattern::random_pattern(rng, &config)
+    let pattern = wlq_pattern::random_pattern(rng, &config);
+    with_predicates(rng, pattern)
+}
+
+/// Attaches a random predicate to about a quarter of `pattern`'s atoms.
+fn with_predicates(rng: &mut StdRng, pattern: Pattern) -> Pattern {
+    match pattern {
+        Pattern::Atom(atom) if rng.gen_bool(0.25) => {
+            let k = rng.gen_range(0..10_000i64);
+            let predicate = match rng.gen_range(0..3) {
+                0 => Predicate::new("balance", CmpOp::Ge, k).scoped(Scope::Output),
+                1 => Predicate::new("balance", CmpOp::Lt, k).scoped(Scope::Input),
+                _ => {
+                    let op = if rng.gen_bool(0.5) {
+                        CmpOp::Eq
+                    } else {
+                        CmpOp::Ne
+                    };
+                    Predicate::new("zmissing", op, k)
+                }
+            };
+            Pattern::Atom(atom.with_predicate(predicate))
+        }
+        Pattern::Binary { op, left, right } => Pattern::binary(
+            op,
+            with_predicates(rng, *left),
+            with_predicates(rng, *right),
+        ),
+        atom => atom,
+    }
 }
 
 /// The Definition 2 violation an [`invalid_records`] sample carries.

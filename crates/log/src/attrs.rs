@@ -29,7 +29,6 @@ use crate::value::Value;
 /// assert_eq!(m.len(), 2);
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttrMap {
     /// Sorted by name, names distinct.
     entries: Vec<(AttrName, Value)>,

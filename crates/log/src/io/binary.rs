@@ -17,11 +17,14 @@
 //!   4 = str
 //! ```
 
+use std::sync::Arc;
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use super::Interner;
 use crate::attrs::AttrMap;
 use crate::error::ParseLogError;
+use crate::lazy::{Maps, Source};
 use crate::log::Log;
 use crate::record::LogRecord;
 use crate::Value;
@@ -39,8 +42,10 @@ pub fn write_binary(log: &Log) -> Bytes {
         buf.put_u64_le(r.wid().get());
         buf.put_u32_le(r.is_lsn().get());
         put_str(&mut buf, r.activity().as_str());
-        put_map(&mut buf, r.input());
-        put_map(&mut buf, r.output());
+        r.peek_maps(|input, output| {
+            put_map(&mut buf, input);
+            put_map(&mut buf, output);
+        });
     }
     buf.freeze()
 }
@@ -82,8 +87,11 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
 
 /// Decodes a log from the binary format.
 ///
-/// Strings are decoded in place from `data` and interned, so equal names
-/// and string values share one allocation.
+/// Activity names are decoded in place from `data` and interned, so equal
+/// names share one allocation. Every attribute map is checked here, but
+/// decoded only when a record's [`input`](LogRecord::input) or
+/// [`output`](LogRecord::output) is first read: the log keeps `data` for
+/// that, unless every map is empty.
 ///
 /// # Errors
 ///
@@ -96,8 +104,10 @@ pub fn read_binary(data: Bytes) -> Result<Log, ParseLogError> {
             message: message.into(),
         }
     }
-    let mut data = Reader(data.as_ref());
-    if data.0.len() < 12 {
+    let src = Arc::new(Source::Binary(data));
+    let mut data = Reader(src.as_bytes());
+    let total = data.0.len();
+    if total < 12 {
         return Err(bad("input shorter than header"));
     }
     if data.take(4) != Some(&MAGIC[..]) {
@@ -111,7 +121,7 @@ pub fn read_binary(data: Bytes) -> Result<Log, ParseLogError> {
         if data.0.len() < 20 {
             return Err(err());
         }
-        let record = data.record(&mut interner).ok_or_else(err)?;
+        let record = data.record(&mut interner, &src, total).ok_or_else(err)?;
         records.push(record);
     }
     if !data.0.is_empty() {
@@ -154,37 +164,71 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.take(len)?).ok()
     }
 
-    fn record(&mut self, interner: &mut Interner) -> Option<LogRecord> {
+    /// Reads one record; its maps become ranges of `src`, whose `total`
+    /// bytes this reader is a suffix of.
+    fn record(
+        &mut self,
+        interner: &mut Interner,
+        src: &Arc<Source>,
+        total: usize,
+    ) -> Option<LogRecord> {
         let lsn = self.u64()?;
         let wid = self.u64()?;
         let is_lsn = self.u32()?;
         let activity = interner.activity(self.str()?);
-        let input = self.map(interner)?;
-        let output = self.map(interner)?;
-        Some(LogRecord::new(lsn, wid, is_lsn, activity, input, output))
+        let start = total - self.0.len();
+        self.map(false)?;
+        let mid = total - self.0.len();
+        self.map(false)?;
+        let end = total - self.0.len();
+        // Two empty maps are two zero counts.
+        let maps = if end - start == 8 {
+            Maps::empty()
+        } else {
+            Maps::raw(src, [start, mid, mid, end])
+        };
+        Some(LogRecord::with_maps(lsn, wid, is_lsn, activity, maps))
     }
 
-    fn map(&mut self, interner: &mut Interner) -> Option<AttrMap> {
+    /// Reads one map; with `decode` false it only checks the entries and
+    /// returns an empty map.
+    fn map(&mut self, decode: bool) -> Option<AttrMap> {
         let count = self.u32()?;
         let mut map = AttrMap::new();
         for _ in 0..count {
-            let name = interner.attr(self.str()?);
-            let value = self.value(interner)?;
-            map.set(name, value);
+            let name = self.str()?;
+            let value = self.value(decode)?;
+            if decode {
+                map.set(name, value);
+            }
         }
         Some(map)
     }
 
-    fn value(&mut self, interner: &mut Interner) -> Option<Value> {
+    /// Reads one value; with `decode` false a string is checked but not
+    /// copied, and comes back undefined.
+    fn value(&mut self, decode: bool) -> Option<Value> {
         match self.u8()? {
             0 => Some(Value::Undefined),
             1 => Some(Value::Bool(self.u8()? != 0)),
             2 => Some(Value::Int(i64::from_le_bytes(self.array()?))),
             3 => Some(Value::Float(f64::from_bits(self.u64()?))),
-            4 => Some(Value::Str(interner.string(self.str()?))),
+            4 => {
+                let s = self.str()?;
+                Some(if decode {
+                    Value::Str(Arc::from(s))
+                } else {
+                    Value::Undefined
+                })
+            }
             _ => None,
         }
     }
+}
+
+/// Decodes a map that [`read_binary`] has checked.
+pub(crate) fn decode_map(bytes: &[u8]) -> AttrMap {
+    Reader(bytes).map(true).unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -27,9 +27,11 @@ pub fn write_csv(log: &Log) -> String {
         out.push(',');
         push_field(&mut out, r.activity().as_str());
         out.push(',');
-        push_field(&mut out, &attr_map_field(r.input()));
-        out.push(',');
-        push_field(&mut out, &attr_map_field(r.output()));
+        r.peek_maps(|input, output| {
+            push_field(&mut out, &attr_map_field(input));
+            out.push(',');
+            push_field(&mut out, &attr_map_field(output));
+        });
         out.push('\n');
     }
     out

@@ -135,38 +135,43 @@ impl Interner {
         a
     }
 
-    /// Parses a value rendered by [`render_value`]: a double-quoted token
-    /// is unescaped into a string; anything else goes through [`Value`]'s
-    /// `FromStr`. String payloads are shared.
+    /// [`parse_value`] with shared string payloads.
     pub(crate) fn value(&mut self, s: &str) -> Value {
-        let s = s.trim();
-        match s {
-            "NaN" => return Value::Float(f64::NAN),
-            "-NaN" => return Value::Float(-f64::NAN),
-            "inf" => return Value::Float(f64::INFINITY),
-            "-inf" => return Value::Float(f64::NEG_INFINITY),
-            _ => {}
-        }
-        if s.len() >= 2 && s.starts_with('"') && s.ends_with('"') {
-            let inner = &s[1..s.len() - 1];
-            if !inner.contains('\\') {
-                return Value::Str(self.string(inner));
-            }
-            let mut out = String::with_capacity(inner.len());
-            let mut chars = inner.chars();
-            while let Some(c) = chars.next() {
-                if c == '\\' {
-                    if let Some(next) = chars.next() {
-                        out.push(next);
-                    }
-                } else {
-                    out.push(c);
-                }
-            }
-            return Value::Str(self.string(&out));
-        }
-        crate::value::parse_scalar(s).unwrap_or_else(|| Value::Str(self.string(s)))
+        parse_value(s, |s| self.string(s))
     }
+}
+
+/// Parses a value rendered by [`render_value`]: a double-quoted token is
+/// unescaped into a string; anything else goes through [`Value`]'s
+/// `FromStr`. `string` makes the payload of a string value.
+pub(crate) fn parse_value(s: &str, string: impl FnOnce(&str) -> Arc<str>) -> Value {
+    let s = s.trim();
+    match s {
+        "NaN" => return Value::Float(f64::NAN),
+        "-NaN" => return Value::Float(-f64::NAN),
+        "inf" => return Value::Float(f64::INFINITY),
+        "-inf" => return Value::Float(f64::NEG_INFINITY),
+        _ => {}
+    }
+    if s.len() >= 2 && s.starts_with('"') && s.ends_with('"') {
+        let inner = &s[1..s.len() - 1];
+        if !inner.contains('\\') {
+            return Value::Str(string(inner));
+        }
+        let mut out = String::with_capacity(inner.len());
+        let mut chars = inner.chars();
+        while let Some(c) = chars.next() {
+            if c == '\\' {
+                if let Some(next) = chars.next() {
+                    out.push(next);
+                }
+            } else {
+                out.push(c);
+            }
+        }
+        return Value::Str(string(&out));
+    }
+    crate::value::parse_scalar(s).unwrap_or_else(|| Value::Str(string(s)))
 }
 
 /// Renders an attribute map as `name=value` entries joined by `sep`

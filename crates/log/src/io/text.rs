@@ -14,9 +14,12 @@
 //! formats in this crate target the paper's value universe, not arbitrary
 //! binary data — use [`crate::io::binary`] for that).
 
-use super::{split_entries, Interner};
+use std::sync::Arc;
+
+use super::{parse_value, split_entries, Interner};
 use crate::attrs::AttrMap;
 use crate::error::ParseLogError;
+use crate::lazy::{Maps, Source};
 use crate::log::Log;
 use crate::record::LogRecord;
 
@@ -28,22 +31,21 @@ use crate::record::LogRecord;
 #[must_use]
 pub fn write_text(log: &Log) -> String {
     let mut out = String::from("lsn | wid | is-lsn | t | in | out\n");
+    let render = |m: &AttrMap| {
+        if m.is_empty() {
+            "-".to_string()
+        } else {
+            super::render_map(m, ", ")
+        }
+    };
     for r in log.iter() {
-        let render = |m: &AttrMap| {
-            if m.is_empty() {
-                "-".to_string()
-            } else {
-                super::render_map(m, ", ")
-            }
-        };
+        let (input, output) = r.peek_maps(|i, o| (render(i), render(o)));
         out.push_str(&format!(
-            "{} | {} | {} | {} | {} | {}\n",
+            "{} | {} | {} | {} | {input} | {output}\n",
             r.lsn(),
             r.wid(),
             r.is_lsn(),
             r.activity(),
-            render(r.input()),
-            render(r.output()),
         ));
     }
     out
@@ -51,8 +53,11 @@ pub fn write_text(log: &Log) -> String {
 
 /// Parses a log from the text format.
 ///
-/// Fields are borrowed slices of `text`; activity names, attribute names
-/// and string values are interned, so equal strings share one allocation.
+/// Fields are borrowed slices of `text`, and activity names are interned,
+/// so equal names share one allocation. Every attribute map is checked
+/// here, but decoded only when a record's [`input`](LogRecord::input) or
+/// [`output`](LogRecord::output) is first read: the log keeps one copy of
+/// `text` for that, unless every map is empty.
 ///
 /// # Errors
 ///
@@ -63,21 +68,27 @@ pub fn read_text(text: &str) -> Result<Log, ParseLogError> {
     // (and the doubled peak) of growing a multi-megabyte vector.
     let mut records = Vec::with_capacity(text.bytes().filter(|&b| b == b'\n').count() + 1);
     let mut interner = Interner::default();
+    let mut src = None;
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with("lsn") {
             continue;
         }
-        records.push(parse_line(trimmed, line_no, &mut interner)?);
+        records.push(parse_line(text, trimmed, line_no, &mut interner, &mut src)?);
     }
     Ok(Log::new(records)?)
 }
 
+/// Parses one record from `line`, a slice of `text`. Its maps become
+/// ranges of `src`, the copy of `text` made for the first record with a
+/// nonempty map.
 fn parse_line(
+    text: &str,
     line: &str,
     line_no: usize,
     interner: &mut Interner,
+    src: &mut Option<Arc<Source>>,
 ) -> Result<LogRecord, ParseLogError> {
     // Quote-aware split: a '|' inside a quoted attribute value is data.
     let mut fields = [""; 6];
@@ -115,46 +126,64 @@ fn parse_line(
             message: "activity name is empty".to_string(),
         });
     }
-    let input = parse_attr_map(fields[4], line_no, interner)?;
-    let output = parse_attr_map(fields[5], line_no, interner)?;
-    Ok(LogRecord::new(
+    let mut empty = true;
+    for map in fields[4..].iter().filter(|map| !is_empty_map(map)) {
+        empty = false;
+        for entry in entries(map) {
+            entry.map_err(|message| ParseLogError::BadShape {
+                line: line_no,
+                message,
+            })?;
+        }
+    }
+    let maps = if empty {
+        Maps::empty()
+    } else {
+        let src = src.get_or_insert_with(|| Arc::new(Source::Text(text.to_owned())));
+        let start = |field: &str| field.as_ptr() as usize - text.as_ptr() as usize;
+        let (input, output) = (start(fields[4]), start(fields[5]));
+        let (input_end, output_end) = (input + fields[4].len(), output + fields[5].len());
+        Maps::raw(src, [input, input_end, output, output_end])
+    };
+    Ok(LogRecord::with_maps(
         lsn,
         wid,
         is_lsn,
         interner.activity(fields[3]),
-        input,
-        output,
+        maps,
     ))
 }
 
-pub(crate) fn parse_attr_map(
-    text: &str,
-    line_no: usize,
-    interner: &mut Interner,
-) -> Result<AttrMap, ParseLogError> {
-    let mut map = AttrMap::new();
-    let trimmed = text.trim();
-    if trimmed.is_empty() || trimmed == "-" {
-        return Ok(map);
-    }
-    for pair in split_entries(trimmed, b',') {
+/// Whether a trimmed map field stands for the empty map.
+fn is_empty_map(field: &str) -> bool {
+    field.is_empty() || field == "-"
+}
+
+/// The `(name, value)` entries of a trimmed, nonempty map field, each
+/// trimmed, or for a malformed entry the message of its error.
+fn entries(field: &str) -> impl Iterator<Item = Result<(&str, &str), String>> {
+    split_entries(field, b',').map(|pair| {
         let pair = pair.trim();
         let Some((name, value)) = pair.split_once('=') else {
-            return Err(ParseLogError::BadShape {
-                line: line_no,
-                message: format!("attribute entry {pair:?} is not name=value"),
-            });
+            return Err(format!("attribute entry {pair:?} is not name=value"));
         };
         let name = name.trim();
         if name.is_empty() {
-            return Err(ParseLogError::BadShape {
-                line: line_no,
-                message: "attribute name is empty".to_string(),
-            });
+            return Err("attribute name is empty".to_string());
         }
-        map.set(interner.attr(name), interner.value(value));
+        Ok((name, value))
+    })
+}
+
+/// Decodes a trimmed map field that [`read_text`] has checked.
+pub(crate) fn decode_map(field: &str) -> AttrMap {
+    if is_empty_map(field) {
+        return AttrMap::new();
     }
-    Ok(map)
+    entries(field)
+        .flatten()
+        .map(|(name, value)| (name, parse_value(value, |s| Arc::from(s))))
+        .collect()
 }
 
 #[cfg(test)]

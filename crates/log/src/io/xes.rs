@@ -57,8 +57,10 @@ pub fn write_xes(log: &Log) -> String {
                 "      <int key=\"wlq:lsn\" value=\"{}\"/>",
                 record.lsn().get()
             );
-            write_map(&mut out, "wlq:in:", record.input());
-            write_map(&mut out, "wlq:out:", record.output());
+            record.peek_maps(|input, output| {
+                write_map(&mut out, "wlq:in:", input);
+                write_map(&mut out, "wlq:out:", output);
+            });
             let _ = writeln!(out, "    </event>");
         }
         let _ = writeln!(out, "  </trace>");

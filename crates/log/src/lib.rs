@@ -37,6 +37,7 @@ mod attrs;
 mod builder;
 mod error;
 mod index;
+mod lazy;
 mod log;
 mod names;
 mod ops;

@@ -13,7 +13,6 @@ macro_rules! name_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct $name(Arc<str>);
 
         impl $name {
@@ -165,14 +164,6 @@ mod tests {
     fn display_prints_raw_name() {
         assert_eq!(Activity::new("GetRefer").to_string(), "GetRefer");
         assert_eq!(AttrName::new("referId").to_string(), "referId");
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_traits_are_implemented() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<Activity>();
-        assert_serde::<AttrName>();
     }
 
     #[test]

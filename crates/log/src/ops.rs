@@ -68,14 +68,10 @@ impl Log {
                     next_wid += 1;
                     Wid(next_wid)
                 });
-                merged.push(LogRecord::new(
-                    Lsn(merged.len() as u64 + 1),
-                    wid,
-                    record.is_lsn(),
-                    record.activity().clone(),
-                    record.input().clone(),
-                    record.output().clone(),
-                ));
+                let mut record = record.clone();
+                record.set_lsn(Lsn(merged.len() as u64 + 1));
+                record.set_wid(wid);
+                merged.push(record);
             }
         }
         Log::new(merged)

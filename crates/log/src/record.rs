@@ -1,15 +1,16 @@
 //! Log records (Definition 1) and the identifier newtypes they use.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::attrs::AttrMap;
+use crate::lazy::Maps;
 use crate::names::Activity;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident($inner:ty)) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct $name(pub $inner);
 
         impl $name {
@@ -106,15 +107,20 @@ impl IsLsn {
 /// assert_eq!(l.is_lsn().get(), 3);
 /// assert_eq!(l.activity(), "CheckIn");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+///
+/// A record read by [`read_text`](crate::io::text::read_text) or
+/// [`read_binary`](crate::io::binary::read_binary) keeps its maps encoded
+/// in the reader's input until [`input`](Self::input) or
+/// [`output`](Self::output) first asks for them. Equality, hashing,
+/// formatting and the writers decode such maps into a temporary and leave
+/// them encoded.
+#[derive(Clone, PartialEq, Eq)]
 pub struct LogRecord {
     lsn: Lsn,
     wid: Wid,
     is_lsn: IsLsn,
     activity: Activity,
-    input: AttrMap,
-    output: AttrMap,
+    maps: Maps,
 }
 
 impl LogRecord {
@@ -127,13 +133,24 @@ impl LogRecord {
         input: AttrMap,
         output: AttrMap,
     ) -> Self {
+        LogRecord::with_maps(lsn, wid, is_lsn, activity, Maps::Decoded(input, output))
+    }
+
+    /// Creates a record from its identifiers and its (possibly encoded)
+    /// maps.
+    pub(crate) fn with_maps(
+        lsn: impl Into<Lsn>,
+        wid: impl Into<Wid>,
+        is_lsn: impl Into<IsLsn>,
+        activity: impl Into<Activity>,
+        maps: Maps,
+    ) -> Self {
         LogRecord {
             lsn: lsn.into(),
             wid: wid.into(),
             is_lsn: is_lsn.into(),
             activity: activity.into(),
-            input,
-            output,
+            maps,
         }
     }
 
@@ -189,13 +206,19 @@ impl LogRecord {
     /// The input map `αin(l)`: attributes (and values) read by the activity.
     #[must_use]
     pub fn input(&self) -> &AttrMap {
-        &self.input
+        self.maps.get().0
     }
 
     /// The output map `αout(l)`: attributes (and values) written.
     #[must_use]
     pub fn output(&self) -> &AttrMap {
-        &self.output
+        self.maps.get().1
+    }
+
+    /// Calls `f` with `αin(l)` and `αout(l)`, decoding maps that are still
+    /// encoded into a temporary rather than into the record's cache.
+    pub(crate) fn peek_maps<R>(&self, f: impl FnOnce(&AttrMap, &AttrMap) -> R) -> R {
+        self.maps.peek(f)
     }
 
     /// Returns `true` if this is a `START` record.
@@ -214,17 +237,55 @@ impl LogRecord {
     pub(crate) fn set_lsn(&mut self, lsn: Lsn) {
         self.lsn = lsn;
     }
+
+    #[cfg(test)]
+    pub(crate) fn maps(&self) -> &Maps {
+        &self.maps
+    }
+
+    /// Re-stamps the `wid` (used by log mergers).
+    pub(crate) fn set_wid(&mut self, wid: Wid) {
+        self.wid = wid;
+    }
+}
+
+impl Hash for LogRecord {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.lsn.hash(state);
+        self.wid.hash(state);
+        self.is_lsn.hash(state);
+        self.activity.hash(state);
+        self.maps.hash(state);
+    }
+}
+
+impl fmt::Debug for LogRecord {
+    /// The same output as a `#[derive(Debug)]` over the six components.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.peek_maps(|input, output| {
+            f.debug_struct("LogRecord")
+                .field("lsn", &self.lsn)
+                .field("wid", &self.wid)
+                .field("is_lsn", &self.is_lsn)
+                .field("activity", &self.activity)
+                .field("input", input)
+                .field("output", output)
+                .finish()
+        })
+    }
 }
 
 impl fmt::Display for LogRecord {
     /// One line of the paper's Figure 3 table:
     /// `lsn | wid | is-lsn | activity | αin | αout`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} | {} | {} | {} | {} | {}",
-            self.lsn, self.wid, self.is_lsn, self.activity, self.input, self.output
-        )
+        self.peek_maps(|input, output| {
+            write!(
+                f,
+                "{} | {} | {} | {} | {input} | {output}",
+                self.lsn, self.wid, self.is_lsn, self.activity
+            )
+        })
     }
 }
 

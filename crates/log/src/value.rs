@@ -24,7 +24,6 @@ use std::sync::Arc;
 /// assert_eq!(Value::from("active"), Value::Str("active".into()));
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// The undefined value `⊥`: the attribute has no value.
     Undefined,
@@ -405,15 +404,6 @@ mod tests {
         assert_eq!("true".parse::<Value>().unwrap(), Value::Bool(true));
         assert_eq!("⊥".parse::<Value>().unwrap(), Value::Undefined);
         assert_eq!("".parse::<Value>().unwrap(), Value::Undefined);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_traits_are_implemented() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<Value>();
-        assert_serde::<crate::LogRecord>();
-        assert_serde::<crate::AttrMap>();
     }
 
     #[test]

@@ -8,7 +8,6 @@ use wlq_log::{Activity, AttrName, Value};
 /// The four binary pattern operators of Definition 3, inspired by BPMN
 /// gateways.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Op {
     /// `p1 ⊙ p2`: `p1` and `p2` executed consecutively
     /// (`last(o1) + 1 = first(o2)`).
@@ -88,7 +87,6 @@ impl fmt::Display for Op {
 
 /// Which attribute map of a record an [atom predicate](Predicate) reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scope {
     /// Look in `αin` only (`in.` prefix in the text syntax).
     Input,
@@ -102,7 +100,6 @@ pub enum Scope {
 
 /// Comparison operators usable in atom predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -159,7 +156,6 @@ impl fmt::Display for CmpOp {
 ///
 /// In the text syntax: `GetRefer[out.balance > 5000]`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Predicate {
     /// Which map to read the attribute from.
     pub scope: Scope,
@@ -241,7 +237,6 @@ impl fmt::Display for Predicate {
 /// An atomic pattern: `t` or `¬t` for an activity name `t`, optionally
 /// carrying [`Predicate`]s (extension).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Atom {
     /// The activity name `t ∈ T`.
     pub activity: Activity,
@@ -318,7 +313,6 @@ impl fmt::Display for Atom {
 /// # Ok::<(), wlq_pattern::ParsePatternError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Pattern {
     /// An atomic pattern `t` or `¬t`.
     Atom(Atom),

@@ -148,6 +148,11 @@ fn explain_and_mine_render_reports() {
     assert!(planned.contains("physical plan:"), "{planned}");
     assert!(planned.contains("chosen:"), "{planned}");
     assert!(planned.contains("scan PlaceOrder"), "{planned}");
+    // The plan alone: the actuals of the tree that runs come from
+    // --analyze, never from a table of the tree as written.
+    assert!(!planned.contains("time  node"), "{planned}");
+    assert!(!planned.contains("total:"), "{planned}");
+    assert!(planned.contains("--analyze"), "{planned}");
 
     let out = wlq(&["explain", path_str, "PlaceOrder", "--bogus"]);
     assert_eq!(out.status.code(), Some(2));

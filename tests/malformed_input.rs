@@ -3,6 +3,7 @@
 //! lsns, and the structural validators surface typed errors (never
 //! panics) for every Definition 2 violation reachable through parsing.
 
+use wlq::io::binary::read_binary;
 use wlq::{attrs, io::text::read_text, IsLsn, Log, LogBuilder, LogError, Lsn, ParseLogError, Wid};
 
 fn two_instance_log(first: &str, second: &str) -> Log {
@@ -115,6 +116,111 @@ fn empty_input_is_an_empty_log_error_not_a_panic() {
         read_text("# only comments\n\n").unwrap_err(),
         ParseLogError::Invalid(LogError::Empty)
     ));
+}
+
+// ------------------------------------------------------ attribute maps
+//
+// Readers leave attribute maps encoded until first access, but check
+// every map while reading: a malformed map fails the read itself, with
+// the line (text) or record (binary) that holds it.
+
+fn expect_bad_shape(err: ParseLogError, line: usize, needle: &str) {
+    match err {
+        ParseLogError::BadShape {
+            line: got,
+            ref message,
+        } => {
+            assert_eq!(got, line, "{message}");
+            assert!(message.contains(needle), "{message:?} lacks {needle:?}");
+        }
+        other => panic!("expected BadShape on line {line}, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_text_entry_without_equals_fails_the_read_on_its_line() {
+    let text = "\
+lsn | wid | is-lsn | t | in | out
+1 | 1 | 1 | START | - | -
+2 | 1 | 2 | A | x=1 | y=2
+3 | 1 | 3 | B | x=1, novalue | -
+";
+    expect_bad_shape(
+        read_text(text).unwrap_err(),
+        4,
+        "\"novalue\" is not name=value",
+    );
+}
+
+#[test]
+fn an_empty_text_attribute_name_fails_the_read_on_its_line() {
+    let text = "1 | 1 | 1 | START | - | -\n2 | 1 | 2 | A | x=1 |  = 5";
+    expect_bad_shape(read_text(text).unwrap_err(), 2, "attribute name is empty");
+}
+
+/// A binary log of `START` then one record `A` of instance 1 whose input
+/// map is `input` (already encoded) and whose output map is empty.
+fn binary_log(input: &[u8]) -> Vec<u8> {
+    fn record(out: &mut Vec<u8>, lsn: u64, is_lsn: u32, activity: &str, input: &[u8]) {
+        out.extend(lsn.to_le_bytes());
+        out.extend(1u64.to_le_bytes());
+        out.extend(is_lsn.to_le_bytes());
+        out.extend((activity.len() as u32).to_le_bytes());
+        out.extend(activity.as_bytes());
+        out.extend(input);
+        out.extend(0u32.to_le_bytes());
+    }
+    let mut out = b"WLQ1".to_vec();
+    out.extend(2u64.to_le_bytes());
+    record(&mut out, 1, 1, "START", &0u32.to_le_bytes());
+    record(&mut out, 2, 2, "A", input);
+    out
+}
+
+/// One encoded map entry: the name, then the value's tag and payload.
+fn entry(name: &[u8], tag: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = (name.len() as u32).to_le_bytes().to_vec();
+    out.extend(name);
+    out.push(tag);
+    out.extend(payload);
+    out
+}
+
+fn map(count: u32, entries: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = count.to_le_bytes().to_vec();
+    out.extend(entries.concat());
+    out
+}
+
+#[test]
+fn binary_maps_are_checked_while_reading() {
+    let int = 7i64.to_le_bytes();
+    let good = map(1, &[entry(b"balance", 2, &int)]);
+    let log = read_binary(binary_log(&good).into()).unwrap();
+    assert_eq!(
+        log.get(Lsn(2)).unwrap().input(),
+        &attrs! { "balance" => 7i64 }
+    );
+
+    let mut string = 2u32.to_le_bytes().to_vec();
+    string.extend([0xff, 0xfe]);
+    for (what, input) in [
+        ("bad value tag", map(1, &[entry(b"balance", 9, &int)])),
+        ("non-UTF-8 name", map(1, &[entry(&[0xc3, 0x28], 2, &int)])),
+        ("non-UTF-8 string", map(1, &[entry(b"note", 4, &string)])),
+        ("truncated map", map(2, &[entry(b"balance", 2, &int)])),
+    ] {
+        let err = read_binary(binary_log(&input).into()).unwrap_err();
+        // The bytes after a corrupt map can never parse as the rest of
+        // record 1, so the reader names that record.
+        match err {
+            ParseLogError::BadShape { line, ref message } => {
+                assert_eq!(line, 0, "{what}");
+                assert_eq!(message, "truncated record 1", "{what}");
+            }
+            other => panic!("{what}: expected BadShape, got {other:?}"),
+        }
+    }
 }
 
 // ----------------------------------------------------------------- merge
